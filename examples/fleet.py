@@ -102,14 +102,9 @@ def main() -> None:
           f"misses unchanged: {final.vector_misses == pressed.vector_misses})")
 
     # --- merged reports ----------------------------------------------
-    # cache_info() == CacheInfo.merge(per-worker reports); capacities()
-    # shows the accounting the router routes around.
-    print("\nper-worker capacity (vector-entry bytes):")
-    for name, cap in sorted(fleet.capacities().items()):
-        print(f"  {name}: used {cap.used_bytes}/{cap.total_bytes} "
-              f"booked {cap.booked_bytes}")
+    # cache_info() == CacheInfo.merge(per-worker reports).
     info = fleet.cache_info()
-    print(f"merged cache_info: {info.vector_hits} hits / "
+    print(f"\nmerged cache_info: {info.vector_hits} hits / "
           f"{info.vector_misses} misses across "
           f"{len(fleet.registry.workers)} workers")
     print(f"degradations: respawns={fleet.registry.respawns} "

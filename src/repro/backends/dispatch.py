@@ -27,7 +27,9 @@ deliberately conservative — near the crossover both backends cost
 about the same, so erring toward ``pyloops`` keeps small-graph
 workloads regression-free.  :func:`calibrate` re-measures the
 crossover per kernel on the current machine and installs the result
-for the process.
+for the calling process only: nothing is persisted, so importing the
+package reads no file and every process starts from the shipped
+defaults.
 
 Forcing ``vectorized`` without numpy raises
 :class:`~repro.exceptions.BackendError`; the ``auto`` mode never
@@ -36,7 +38,6 @@ raises — it falls back to the loops.
 
 from __future__ import annotations
 
-import json
 import os
 from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
@@ -50,12 +51,9 @@ __all__ = [
     "backend_for",
     "backend_name_for",
     "calibrate",
-    "calibration_path",
     "current_mode",
     "kernel_impl",
-    "load_thresholds",
     "record_threshold_gauges",
-    "save_thresholds",
     "set_backend",
 ]
 
@@ -240,67 +238,8 @@ def record_threshold_gauges() -> None:
                        kernel=kernel)
 
 
-# ---------------------------------------------------------------------------
-# calibration persistence
-# ---------------------------------------------------------------------------
-def calibration_path() -> str:
-    """Where the calibrated table persists between processes.
-
-    ``REPRO_CALIBRATION`` overrides (re-read per call, so tests can
-    monkeypatch it); the default lives under the user cache directory.
-    """
-    env = os.environ.get("REPRO_CALIBRATION", "").strip()
-    if env:
-        return env
-    return os.path.join(os.path.expanduser("~"), ".cache", "repro",
-                        "calibration.json")
-
-
-def save_thresholds(path: Optional[str] = None) -> str:
-    """Write the active dispatch table as JSON; returns the path."""
-    target = path or calibration_path()
-    parent = os.path.dirname(target)
-    if parent:
-        os.makedirs(parent, exist_ok=True)
-    with open(target, "w", encoding="utf-8") as handle:
-        json.dump(thresholds(), handle, indent=2, sort_keys=True)
-        handle.write("\n")
-    return target
-
-
-def load_thresholds(path: Optional[str] = None
-                    ) -> Optional[Dict[str, int]]:
-    """Install a persisted dispatch table; returns it, or None.
-
-    Missing file returns ``None`` (the shipped defaults stay).  A
-    malformed or mis-keyed file raises :class:`BackendError` — except
-    during the module's own import-time load, which swallows it (a
-    stale cache file must never break importing the package).  The
-    loaded table is also published as obs gauges when recording is on.
-    """
-    target = path or calibration_path()
-    try:
-        with open(target, "r", encoding="utf-8") as handle:
-            raw = json.load(handle)
-    except FileNotFoundError:
-        return None
-    except (OSError, ValueError) as exc:
-        raise BackendError(
-            f"unreadable calibration file {target!r}: {exc}") from exc
-    if not isinstance(raw, dict) or not all(
-            isinstance(k, str) and isinstance(v, int) and v > 0
-            for k, v in raw.items()):
-        raise BackendError(
-            f"calibration file {target!r} is not a table of "
-            f"positive integer thresholds")
-    set_thresholds({k: int(v) for k, v in raw.items()})
-    record_threshold_gauges()
-    return thresholds()
-
-
 def calibrate(sizes: Iterable[int] = (200, 800, 3200),
-              seed: int = 0, repeats: int = 3, *,
-              save: bool = False) -> Dict[str, int]:
+              seed: int = 0, repeats: int = 3) -> Dict[str, int]:
     """Measure per-kernel crossovers and install them for the process.
 
     For each kernel, both backends are timed on Erdős–Rényi snapshots
@@ -310,10 +249,6 @@ def calibrate(sizes: Iterable[int] = (200, 800, 3200),
     smallest where vectorized won.  Returns the installed table (also
     available via :func:`thresholds`).  No-op fallback: when numpy is
     unavailable the shipped defaults are kept and returned.
-
-    ``save=True`` additionally persists the measured table to
-    :func:`calibration_path`, and later processes pick it up at import
-    (see :func:`load_thresholds`).
     """
     import timeit
 
@@ -365,8 +300,6 @@ def calibrate(sizes: Iterable[int] = (200, 800, 3200),
                                    DEFAULT_THRESHOLDS[kernel])
     set_thresholds(measured)
     record_threshold_gauges()
-    if save:
-        save_thresholds()
     return thresholds()
 
 
@@ -390,20 +323,3 @@ def _probe_args(kernel: str, csr: CSRGraph, mask: Optional[bytearray],
         sources = [rng.randrange(n) for _ in range(batch)]
         return (csr, mask, sources)
     return (csr, mask, 0)
-
-
-def _load_on_import() -> None:
-    """Adopt a previously saved calibration at import time, silently.
-
-    Nothing saved (the common case) keeps the shipped defaults; a
-    corrupt or mis-keyed file is ignored here — importing the package
-    must never fail because of a stale cache — and surfaces only when
-    :func:`load_thresholds` is called explicitly.
-    """
-    try:
-        load_thresholds()
-    except BackendError:
-        pass
-
-
-_load_on_import()

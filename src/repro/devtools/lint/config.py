@@ -101,7 +101,6 @@ HOT_PATHS: Tuple[str, ...] = (
     "repro.incremental.repair:csr_*",
     "repro.incremental.affected:affected_region",
     # Engine inner loops: one pass per query batch / fault set.
-    "repro.scenarios.engine:ScenarioEngine._grouped_pair_distances",
     "repro.scenarios.engine:ScenarioEngine.source_vectors",
     "repro.scenarios.engine:TreeFaultIndex.cut_intervals",
     "repro.scenarios.engine:TreeFaultIndex.orphans_of_intervals",

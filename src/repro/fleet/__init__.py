@@ -1,5 +1,5 @@
 """The engine fleet: multi-process scenario execution with
-capacity-accounted routing.
+cache-affine routing.
 
 One in-process :class:`~repro.query.session.Session` is bounded by
 one LRU budget and one interpreter.  The fleet layer pools both: a
@@ -13,9 +13,8 @@ parts, bottom up:
   (spawn-safe by contract);
 * :mod:`repro.fleet.worker` — the child-process loop, one warm
   session per tenant;
-* :mod:`repro.fleet.registry` — worker lifecycle, capacity
-  accounting with an over-commit ratio, respawn and in-process
-  serial fallback;
+* :mod:`repro.fleet.registry` — worker lifecycle, respawn and
+  in-process serial fallback;
 * :mod:`repro.fleet.router` — cache-affine sharding (by canonical
   fault set, or by source range for vector-heavy streams);
 * :mod:`repro.fleet.session` — the ``Session``-shaped facade with
@@ -31,17 +30,15 @@ fleet: importing it pulls in :mod:`multiprocessing`, which consumers
 of the plain in-process API never need.
 """
 
-from repro.fleet.protocol import CapacityReport, TenantSpec
-from repro.fleet.registry import WorkerCapacity, WorkerRegistry
+from repro.fleet.protocol import TenantSpec
+from repro.fleet.registry import WorkerRegistry
 from repro.fleet.router import Router, fault_hash
 from repro.fleet.session import FleetSession
 
 __all__ = [
-    "CapacityReport",
     "FleetSession",
     "Router",
     "TenantSpec",
-    "WorkerCapacity",
     "WorkerRegistry",
     "fault_hash",
 ]

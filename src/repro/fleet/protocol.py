@@ -11,8 +11,8 @@ serialised transport later (the seam named in ROADMAP item 2), and it
 is pinned by the spawn-safety suite in ``tests/test_fleet.py``.
 
 One request, one reply, in order: a worker serves messages strictly
-sequentially, so the parent-side registry can account for in-flight
-work per worker without a correlation id.  Worker-side failures never
+sequentially, so the parent-side registry pairs each reply with its
+request without a correlation id.  Worker-side failures never
 tear the channel — they come back as an :class:`ErrorReply` carrying
 the exception type name and traceback text (exception *objects* are
 not reliably picklable), and :func:`raise_reply` re-raises the
@@ -27,9 +27,7 @@ from typing import Any, Tuple
 from repro.exceptions import FleetError
 
 __all__ = [
-    "WORD_BYTES",
     "TenantSpec",
-    "CapacityReport",
     "Request",
     "InitRequest",
     "ExecuteRequest",
@@ -43,14 +41,7 @@ __all__ = [
     "PongReply",
     "ErrorReply",
     "raise_reply",
-    "request_weight",
 ]
-
-#: Accounting width of one cached distance cell.  Capacity numbers are
-#: an *accounting currency* (comparable across workers, monotone in
-#: real footprint), not an RSS measurement: a cached vector of a
-#: ``n``-vertex tenant is booked as ``n * WORD_BYTES``.
-WORD_BYTES = 8
 
 
 @dataclass(frozen=True)
@@ -72,27 +63,6 @@ class TenantSpec:
     delta: bool = True
     scheme: Any = None
     warm_sources: Tuple[int, ...] = ()
-
-
-@dataclass(frozen=True)
-class CapacityReport:
-    """A worker's capacity self-report — the pod-accounting payload.
-
-    ``total_bytes`` is what the worker's caches may grow to (the sum
-    of per-tenant LRU budgets priced at one vector per entry),
-    ``used_bytes`` what they currently hold, and ``wave_bytes`` the
-    booked cost of one in-flight wave (the largest tenant's vector
-    footprint) — the parent adds ``in_flight * wave_bytes`` on top of
-    ``used_bytes`` when deciding whether the worker has room, since
-    dispatched-but-uncollected work will land in the caches it has
-    not reported yet.
-    """
-
-    worker: str
-    total_bytes: int
-    used_bytes: int
-    wave_bytes: int
-    tenants: Tuple[Tuple[str, int], ...] = ()
 
 
 @dataclass(frozen=True)
@@ -133,7 +103,7 @@ class ExecuteRequest(Request):
 
 @dataclass(frozen=True)
 class ReportRequest(Request):
-    """Ask for capacity + per-tenant cache/stats snapshots."""
+    """Ask for per-tenant cache/stats snapshots."""
 
 
 @dataclass(frozen=True)
@@ -170,7 +140,6 @@ class ExecuteReply(Reply):
 
 @dataclass(frozen=True)
 class ReportReply(Reply):
-    capacity: CapacityReport
     cache_infos: Tuple[Tuple[str, Any], ...]
     stats: Tuple[Tuple[str, Any], ...]
 
@@ -211,15 +180,3 @@ def raise_reply(reply: Reply) -> Reply:
         f"worker {reply.worker} failed with {reply.exc_type}: "
         f"{reply.message}\n{reply.traceback}"
     )
-
-
-def request_weight(request: Request) -> int:
-    """How much in-flight work a request books against its worker.
-
-    Queries count individually (an :class:`ExecuteRequest` of 500
-    queries occupies more of a worker than a ping); control messages
-    count one.
-    """
-    if isinstance(request, ExecuteRequest):
-        return max(1, len(request.queries))
-    return 1

@@ -1,16 +1,11 @@
-"""Worker lifecycle and capacity accounting for the engine fleet.
+"""Worker lifecycle and degradation for the engine fleet.
 
 The :class:`WorkerRegistry` owns a set of persistent worker processes
 (:mod:`repro.fleet.worker`) and is the only module that touches
-:mod:`multiprocessing` directly.  It does three jobs:
+:mod:`multiprocessing` directly.  It does two jobs:
 
 * **lifecycle** — lazy start, health probes, orderly shutdown, and
   respawn of workers that die mid-request;
-* **capacity accounting** — each worker's self-reported LRU footprint
-  plus the parent-side in-flight book, combined under an over-commit
-  ratio into a :class:`WorkerCapacity` the router can filter on (the
-  pod idiom: advertised capacity may exceed physical capacity by a
-  configured factor, because tenants rarely peak together);
 * **degradation** — when a respawned worker fails again (or a request
   cannot cross the pickle seam at all), the shard is served by an
   in-process serial fallback running the *same*
@@ -19,6 +14,10 @@ The :class:`WorkerRegistry` owns a set of persistent worker processes
   (:attr:`WorkerRegistry.respawns`,
   :attr:`WorkerRegistry.serial_fallbacks`) and warned about, never
   raised.
+
+Which worker serves which query is not the registry's call: the
+:class:`~repro.fleet.router.Router` shards every stream over
+:attr:`WorkerRegistry.workers`.
 """
 
 from __future__ import annotations
@@ -26,15 +25,13 @@ from __future__ import annotations
 import multiprocessing
 import pickle
 import warnings
-from dataclasses import dataclass
 from multiprocessing.connection import Connection
 from multiprocessing.process import BaseProcess
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Mapping, Optional, Sequence, Tuple
 
 from repro import obs as _obs
 from repro.exceptions import FleetError
 from repro.fleet.protocol import (
-    CapacityReport,
     InitRequest,
     PingRequest,
     PongReply,
@@ -46,12 +43,11 @@ from repro.fleet.protocol import (
     ShutdownRequest,
     TenantSpec,
     raise_reply,
-    request_weight,
 )
 from repro.fleet.worker import build_sessions, serve_request, worker_main
 from repro.query.session import Session
 
-__all__ = ["WorkerCapacity", "WorkerRegistry"]
+__all__ = ["WorkerRegistry"]
 
 #: Exceptions that mean "this message cannot cross the pickle seam" —
 #: respawning will not help, the shard goes straight to the serial
@@ -63,46 +59,6 @@ _PICKLE_ERRORS = (pickle.PicklingError, TypeError, AttributeError)
 _CHANNEL_ERRORS = (EOFError, BrokenPipeError, ConnectionError, OSError)
 
 
-@dataclass(frozen=True)
-class WorkerCapacity:
-    """One worker's room, as the router sees it.
-
-    ``total_bytes`` / ``used_bytes`` / ``wave_bytes`` come from the
-    worker's last :class:`~repro.fleet.protocol.CapacityReport`;
-    ``in_flight`` is the parent-side book of dispatched-but-uncollected
-    work.  ``over_commit`` scales the advertised total: with 1.5, a
-    worker whose caches could grow to 1 MiB advertises 1.5 MiB, the
-    bet being that co-located tenants do not peak together.  A worker
-    that has never reported (``total_bytes == 0``) is treated as
-    having room — a fresh worker's caches are empty by construction.
-    """
-
-    worker: str
-    total_bytes: int
-    used_bytes: int
-    wave_bytes: int
-    in_flight: int
-    over_commit: float
-
-    @property
-    def committed_bytes(self) -> int:
-        """The advertised ceiling: ``total_bytes * over_commit``."""
-        return int(self.total_bytes * self.over_commit)
-
-    @property
-    def booked_bytes(self) -> int:
-        """Reported usage plus the booked cost of in-flight work."""
-        return self.used_bytes + self.in_flight * self.wave_bytes
-
-    @property
-    def available_bytes(self) -> int:
-        return max(0, self.committed_bytes - self.booked_bytes)
-
-    @property
-    def has_room(self) -> bool:
-        return self.total_bytes == 0 or self.available_bytes > 0
-
-
 class _WorkerHandle:
     """Parent-side state for one worker process (internal)."""
 
@@ -110,8 +66,6 @@ class _WorkerHandle:
         self.name = name
         self.process: Optional[BaseProcess] = None
         self.conn: Optional[Connection] = None
-        self.in_flight = 0
-        self.report: Optional[CapacityReport] = None
 
     @property
     def alive(self) -> bool:
@@ -119,7 +73,7 @@ class _WorkerHandle:
 
 
 class WorkerRegistry:
-    """Owns the fleet's worker processes and their capacity book.
+    """Owns the fleet's worker processes.
 
     Parameters
     ----------
@@ -130,8 +84,6 @@ class WorkerRegistry:
         worker, and any worker can absorb any shard when a peer dies.
     workers:
         Fleet size (>= 1).  Worker names are ``"w0" .. "w{N-1}"``.
-    over_commit:
-        Capacity over-commit ratio (see :class:`WorkerCapacity`).
     start_method:
         ``multiprocessing`` start method (``None`` = platform
         default).  ``"spawn"`` exercises the full pickle seam; the
@@ -139,7 +91,7 @@ class WorkerRegistry:
     """
 
     def __init__(self, tenants: Sequence[TenantSpec], *,
-                 workers: int = 2, over_commit: float = 1.0,
+                 workers: int = 2,
                  start_method: Optional[str] = None) -> None:
         if workers < 1:
             raise FleetError(f"a fleet needs at least one worker, "
@@ -149,11 +101,7 @@ class WorkerRegistry:
         names = [spec.name for spec in tenants]
         if len(set(names)) != len(names):
             raise FleetError(f"duplicate tenant names: {sorted(names)}")
-        if over_commit <= 0:
-            raise FleetError(f"over_commit must be positive, "
-                             f"got {over_commit}")
         self.tenants: Tuple[TenantSpec, ...] = tuple(tenants)
-        self.over_commit = over_commit
         self._ctx = multiprocessing.get_context(start_method)
         self._handles: Dict[str, _WorkerHandle] = {
             f"w{i}": _WorkerHandle(f"w{i}") for i in range(workers)
@@ -204,7 +152,6 @@ class WorkerRegistry:
         child_conn.close()
         handle.process = process
         handle.conn = parent_conn
-        handle.report = None
         parent_conn.send(init)
 
     def _confirm_ready(self, handle: _WorkerHandle) -> None:
@@ -283,41 +230,10 @@ class WorkerRegistry:
             pass
 
     # ------------------------------------------------------------------
-    # capacity accounting
+    # reports and probes
     # ------------------------------------------------------------------
-    def capacity(self, worker: str) -> WorkerCapacity:
-        """The named worker's current capacity view."""
-        handle = self._handle(worker)
-        report = handle.report
-        return WorkerCapacity(
-            worker=worker,
-            total_bytes=report.total_bytes if report else 0,
-            used_bytes=report.used_bytes if report else 0,
-            wave_bytes=report.wave_bytes if report else 0,
-            in_flight=handle.in_flight,
-            over_commit=self.over_commit,
-        )
-
-    def capacities(self) -> Dict[str, WorkerCapacity]:
-        return {name: self.capacity(name) for name in self._handles}
-
-    def routing_candidates(self) -> List[str]:
-        """Workers with room, for the router to shard over.
-
-        When *every* worker is full, all of them are eligible — a
-        saturated fleet degrades to even spreading rather than
-        refusing work (there is no better worker to route around to).
-        """
-        eligible = [name for name in self._handles
-                    if self.capacity(name).has_room]
-        return eligible if eligible else list(self._handles)
-
     def reports(self) -> Dict[str, ReportReply]:
-        """Fresh capacity + cache/stats snapshots from every worker.
-
-        Also folds each report into the registry's capacity book, so
-        subsequent :meth:`routing_candidates` calls see it.
-        """
+        """Fresh per-tenant cache/stats snapshots from every worker."""
         replies = self.dispatch(
             {name: ReportRequest() for name in self._handles}
         )
@@ -328,16 +244,7 @@ class WorkerRegistry:
                 raise FleetError(
                     f"worker {name} answered report with {checked!r}"
                 )
-            self._handle(name).report = checked.capacity
             reports[name] = checked
-        if _obs.ENABLED:
-            for name, capacity in self.capacities().items():
-                _obs.set_gauge("repro_fleet_capacity_total_bytes",
-                               float(capacity.total_bytes), worker=name)
-                _obs.set_gauge("repro_fleet_capacity_used_bytes",
-                               float(capacity.booked_bytes), worker=name)
-                _obs.set_gauge("repro_fleet_capacity_in_flight",
-                               float(capacity.in_flight), worker=name)
         return reports
 
     def ping(self) -> Dict[str, bool]:
@@ -374,11 +281,8 @@ class WorkerRegistry:
         """
         self.start()
         in_error: Dict[str, BaseException] = {}
-        order: List[Tuple[str, Request]] = []
         for name, request in assignments.items():
             handle = self._handle(name)
-            handle.in_flight += request_weight(request)
-            order.append((name, request))
             if handle.conn is None:
                 in_error[name] = EOFError("worker channel closed")
                 continue
@@ -387,7 +291,7 @@ class WorkerRegistry:
             except (*_CHANNEL_ERRORS, *_PICKLE_ERRORS) as exc:
                 in_error[name] = exc
         replies: Dict[str, Reply] = {}
-        for name, request in order:
+        for name, request in assignments.items():
             handle = self._handle(name)
             failure = in_error.get(name)
             reply: Optional[Reply] = None
@@ -397,7 +301,6 @@ class WorkerRegistry:
                     reply = handle.conn.recv()
                 except _CHANNEL_ERRORS as exc:
                     failure = exc
-            handle.in_flight -= request_weight(request)
             if reply is None:
                 assert failure is not None
                 reply = self._recover(handle, request, failure)

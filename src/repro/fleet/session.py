@@ -5,10 +5,11 @@ A fleet session is a :class:`~repro.query.session.SessionDialect`, so
 it speaks the exact submit/gather/answer/answer_async dialect of the
 in-process :class:`~repro.query.session.Session`; its transport seam
 shards each stream with the :class:`~repro.fleet.router.Router` over
-the capacity-eligible workers of a
-:class:`~repro.fleet.registry.WorkerRegistry` and executes the shards
-in parallel processes, each holding warm per-tenant engines.  Reports
-merge: :meth:`cache_info` folds every worker's
+the workers of a :class:`~repro.fleet.registry.WorkerRegistry` and
+executes the shards in parallel processes, each holding warm
+per-tenant engines.  The router is the only code that picks a worker:
+reading reports never narrows the set it shards over.  Reports merge:
+:meth:`cache_info` folds every worker's
 :class:`~repro.scenarios.engine.CacheInfo` with
 :meth:`~repro.scenarios.engine.CacheInfo.merge`, and :attr:`stats`
 folds per-worker :class:`~repro.query.session.SessionStats` with
@@ -45,7 +46,7 @@ from repro.fleet.protocol import (
     TenantSpec,
     raise_reply,
 )
-from repro.fleet.registry import WorkerCapacity, WorkerRegistry
+from repro.fleet.registry import WorkerRegistry
 from repro.fleet.router import Router
 from repro.query.queries import Answer, Query
 from repro.query.session import DEFAULT_TENANT, SessionDialect, SessionStats
@@ -78,12 +79,6 @@ class FleetSession(SessionDialect):
     memoize, delta:
         Engine construction knobs, per worker per tenant (see
         :class:`~repro.scenarios.engine.ScenarioEngine`).
-    over_commit:
-        Capacity over-commit ratio (see
-        :class:`~repro.fleet.registry.WorkerCapacity`).
-    policy:
-        Routing policy — ``"auto"``, ``"faults"`` or ``"source"``
-        (see :class:`~repro.fleet.router.Router`).
     start_method:
         ``multiprocessing`` start method for the workers (``None`` =
         platform default, ``"spawn"`` exercises the full pickle seam).
@@ -109,8 +104,6 @@ class FleetSession(SessionDialect):
                  scheme: Any = None,
                  memoize: int = 4096,
                  delta: bool = True,
-                 over_commit: float = 1.0,
-                 policy: str = "auto",
                  start_method: Optional[str] = None,
                  warm_sources: Union[Sequence[int],
                                      Mapping[str, Sequence[int]]] = ()
@@ -144,18 +137,15 @@ class FleetSession(SessionDialect):
                 scheme=scheme, warm_sources=warm,
             ))
             self._routers[name] = Router(
-                policy, n=int(getattr(tenant_graph, "n", 0) or 0)
-            )
+                n=int(getattr(tenant_graph, "n", 0) or 0))
         super().__init__(scheme)
         self.tenants = tuple(self._graphs)
-        self.registry = WorkerRegistry(
-            specs, workers=workers, over_commit=over_commit,
-            start_method=start_method,
-        )
+        self.registry = WorkerRegistry(specs, workers=workers,
+                                       start_method=start_method)
         self._gathers = 0
         # Executes serialize on this lock: answer_async runs on the
-        # session's worker thread, and the registry's pipes and
-        # in-flight book are not thread-safe.
+        # session's worker thread, and the registry's pipes are not
+        # thread-safe.
         self._gather_lock = threading.Lock()
 
     @property
@@ -195,7 +185,7 @@ class FleetSession(SessionDialect):
             with _obs.span("fleet.gather", queries=len(queries)):
                 self.registry.start()
                 shards = self._routers[tenant].shard(
-                    queries, self.registry.routing_candidates())
+                    queries, self.registry.workers)
                 # When tracing, every shard request carries the
                 # caller's current context so worker-side spans
                 # (worker.execute and the engine waves under it)
@@ -241,7 +231,7 @@ class FleetSession(SessionDialect):
     # merged reports
     # ------------------------------------------------------------------
     def worker_reports(self) -> Dict[str, ReportReply]:
-        """Fresh per-worker report replies (capacity, per-tenant
+        """Fresh per-worker report replies (per-tenant
         :class:`CacheInfo` and :class:`SessionStats`)."""
         with self._gather_lock:
             return self.registry.reports()
@@ -268,11 +258,6 @@ class FleetSession(SessionDialect):
             stats.extend(st for _, st in report.stats)
         stats.extend(s.stats for s in self._fallback_sessions())
         return SessionStats.merge(stats)
-
-    def capacities(self) -> Dict[str, WorkerCapacity]:
-        """Per-worker capacity views, refreshed from live reports."""
-        self.worker_reports()
-        return self.registry.capacities()
 
     def _fallback_sessions(self) -> List[Any]:
         serial = self.registry._serial_sessions

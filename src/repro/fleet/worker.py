@@ -25,8 +25,6 @@ from typing import Any, Dict, List, Tuple
 
 from repro import obs as _obs
 from repro.fleet.protocol import (
-    WORD_BYTES,
-    CapacityReport,
     ErrorReply,
     ExecuteReply,
     ExecuteRequest,
@@ -74,33 +72,6 @@ def _stamp(answers: List[Answer], worker: str) -> Tuple[Answer, ...]:
         )
         for a in answers
     )
-
-
-def _capacity(worker: str,
-              sessions: Dict[str, Session]) -> CapacityReport:
-    """Price the worker's caches in the fleet accounting currency.
-
-    Every LRU entry — pair or vector — is booked at one dense vector
-    of its tenant (``n * WORD_BYTES``): a deliberate upper bound that
-    keeps the number monotone in real footprint and cheap to compute.
-    ``wave_bytes`` is the largest tenant's vector, the booked cost of
-    one dispatched-but-unreported wave.
-    """
-    total = 0
-    used = 0
-    wave = 0
-    tenants: List[Tuple[str, int]] = []
-    for name, session in sorted(sessions.items()):
-        vector_bytes = session.engine.csr.n * WORD_BYTES
-        info = session.cache_info()
-        tenant_used = info.size * vector_bytes
-        total += info.maxsize * vector_bytes
-        used += tenant_used
-        wave = max(wave, vector_bytes)
-        tenants.append((name, tenant_used))
-    return CapacityReport(worker=worker, total_bytes=total,
-                          used_bytes=used, wave_bytes=wave,
-                          tenants=tuple(tenants))
 
 
 def _serve_execute(worker: str, sessions: Dict[str, Session],
@@ -158,7 +129,6 @@ def serve_request(worker: str, sessions: Dict[str, Session],
     if isinstance(request, ReportRequest):
         return ReportReply(
             worker=worker,
-            capacity=_capacity(worker, sessions),
             cache_infos=tuple(
                 (name, s.cache_info())
                 for name, s in sorted(sessions.items())

@@ -31,9 +31,8 @@ The ratio of the two is ``k / n`` up to constants, so the model
 compares the orphan count against ``patch_ratio * n`` — plus an
 absolute ``min_orphans`` floor under which patching always wins (the
 repair's setup cost is a handful of dict operations).  The model is an
-explicit frozen dataclass so deployments can tune it per engine
-(``ScenarioEngine(graph, delta_policy=CostModel(...))``) and tests can
-pin it.
+explicit frozen dataclass so tests can pin it; every engine runs the
+default model (``ScenarioEngine.delta_policy``).
 """
 
 from __future__ import annotations

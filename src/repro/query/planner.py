@@ -10,6 +10,10 @@ touch filter, and since PR 5 the incremental-delta patch: wave starts
 whose orphaned region is small are served by
 :meth:`~repro.scenarios.engine.ScenarioEngine.try_delta` and tagged
 with ``"delta"`` provenance) have answered everything they can.
+That grouped pair ladder lives here and nowhere else: a
+:class:`~repro.query.queries.RestorationQuery` plans its target
+distance as a :class:`~repro.query.queries.DistanceQuery` through the
+same groups, then runs the engine's midpoint scan.
 
 Side choice (the ROADMAP's target-side batching): within a group the
 distance/pair queries could be waved from their sources *or* — since
@@ -108,8 +112,8 @@ class Planner:
         snapshot, caches and kernels serve the plans.  The planner
         only uses the engine's *kernel layer* (``source_vectors``,
         ``peek_pair`` / ``peek_vector`` / ``store_pair``,
-        ``faults_touch_pair``, ``base_distances``,
-        ``restoration_sweep``).
+        ``faults_touch_pair``, ``try_delta``, ``base_distances``,
+        ``midpoint_scan``, ``preserver_violations``).
     """
 
     def __init__(self, engine):
@@ -368,7 +372,7 @@ class Planner:
         # the wave.
         rows: Dict[int, List[int]] = {}
         delta_rows: Dict[int, Optional[str]] = {}
-        if wave and fault_key and getattr(engine, "delta_enabled", False):
+        if wave and fault_key and engine.delta_enabled:
             batch_hint = len(wave)
             for origin in list(wave):
                 vec = engine.try_delta(origin, fault_key,
@@ -377,8 +381,7 @@ class Planner:
                     rows[origin] = vec
                     # Which kernel backend patched this origin — the
                     # engine records it per repair call.
-                    delta_rows[origin] = getattr(
-                        engine, "last_repair_backend", None)
+                    delta_rows[origin] = engine.last_repair_backend
                     del wave[origin]
         # Phase 2: one batched multi-source wave serves every pending
         # query (and populates the vector cache for later gathers).
@@ -468,19 +471,31 @@ class Planner:
     def _execute_restoration(self, plan: Plan,
                              answers: List[Optional[Answer]],
                              scheme) -> None:
+        """Figure-1 instances ``(s, t, e)``: the target
+        ``dist_{G \\ e}(s, t)`` rides the grouped pair ladder as a
+        :class:`DistanceQuery` (instances sharing a fault edge share
+        one masked wave), then every connected instance gets the
+        naive (``F' = ∅``) midpoint scan.  The value is ``(target,
+        result)``, or ``None`` when the fault disconnects the pair."""
         engine = self.engine
-        instances = [
-            (plan.queries[i].source, plan.queries[i].target,
-             plan.queries[i].fault_edge)
-            for i in plan.restoration
-        ]
-        results = engine.restoration_sweep(scheme, instances)
-        plan.waves += 1
+        instances = [plan.queries[i] for i in plan.restoration]
+        targets = self.plan(DistanceQuery(q.source, q.target, q.faults)
+                            for q in instances)
+        dists: List[Optional[Answer]] = [None] * len(instances)
+        for group in targets.groups:
+            self._execute_group(targets, group, dists)
+        # The target waves, plus the scan batch booked as one unit.
+        plan.waves += targets.waves + 1
         prov = Provenance("wave", "restoration-sweep",
                           kernel="restoration_sweep",
                           wave_size=len(instances))
-        for i, res in zip(plan.restoration, results):
-            answers[i] = Answer(plan.queries[i], res.value, prov)
+        for i, q, dist in zip(plan.restoration, instances, dists):
+            target = dist.value
+            value = None if target == UNREACHABLE else (
+                target,
+                engine.midpoint_scan(scheme, q.source, q.target, q.faults),
+            )
+            answers[i] = Answer(q, value, prov)
 
     def _execute_preserver(self, plan: Plan,
                            answers: List[Optional[Answer]]) -> None:

@@ -154,12 +154,10 @@ class ConnectivityQuery(Query):
 class RestorationQuery(Query):
     """Figure-1 style restoration instance: can the naive (``F' = ∅``)
     midpoint scan restore ``source ~> target`` around the single fault
-    edge?  Answer value mirrors
-    :meth:`~repro.scenarios.engine.ScenarioEngine.restoration_sweep`:
-    ``(target_distance, RestorationResult | None)``, or ``None`` when
-    the fault disconnects the pair.  Needs a scheme
-    (``Session(scheme=...)`` or ``answer(..., scheme=...)``) and an
-    unweighted engine."""
+    edge?  Answer value is ``(target_distance, RestorationResult |
+    None)``, or ``None`` when the fault disconnects the pair.  Needs a
+    scheme (``Session(scheme=...)`` or ``answer(..., scheme=...)``) and
+    an unweighted engine."""
 
     source: int
     target: int

@@ -62,10 +62,13 @@ engine and a planner that groups arbitrary mixed query streams onto
 these batched kernels, and query streams enter through the session.
 The engine's surface is the scalar primitives
 (``pair_replacement_distance``, ``source_vector``/``source_vectors``,
-``base_distances``), the batch jobs behind the planner's restoration,
-preserver and midpoint kinds (``restoration_sweep``,
-``preserver_violations``, ``midpoint_scan``), and the planner protocol
-(:meth:`peek_pair`, :meth:`peek_vector`, :meth:`store_pair`).
+``base_distances``), the batch jobs behind the planner's preserver
+and midpoint kinds (``preserver_violations``, ``midpoint_scan``), and
+the planner protocol (:meth:`peek_pair`, :meth:`peek_vector`,
+:meth:`store_pair`, :meth:`try_delta`).  The grouped pair ladder —
+pair memo, vector cache, touch filter, delta, masked wave — lives
+once, in the planner; restoration queries reach the engine through
+it.
 
 Example
 -------
@@ -426,9 +429,9 @@ class ScenarioEngine:
         orphaned region the cost model deems small are served by
         patching instead of a full masked wave — bit-identical
         answers, counted under ``delta_hits`` / ``delta_fallbacks``.
-    delta_policy:
-        The :class:`~repro.incremental.affected.CostModel` deciding
-        patch vs wave; defaults to a fresh default model.
+        The patch-vs-wave decision is the default
+        :class:`~repro.incremental.affected.CostModel`, kept as
+        :attr:`delta_policy`.
 
     Notes
     -----
@@ -437,8 +440,7 @@ class ScenarioEngine:
     aligned with the input order.
     """
 
-    def __init__(self, graph, memoize: int = 4096, delta: bool = True,
-                 delta_policy: Optional[CostModel] = None):
+    def __init__(self, graph, memoize: int = 4096, delta: bool = True):
         self.graph = graph
         self.csr: CSRGraph = _snapshot_of(graph)
         self.weighted: bool = self.csr.weights is not None
@@ -474,8 +476,7 @@ class ScenarioEngine:
         # (built lazily, or adopted via adopt_base_tree) and the
         # patch-vs-wave counters.
         self.delta_enabled = bool(delta)
-        self.delta_policy = delta_policy if delta_policy is not None \
-            else CostModel()
+        self.delta_policy = CostModel()
         self._delta_index: Dict[int, TreeFaultIndex] = {}
         # Sources declined once while cold — the warm-up bookkeeping
         # behind CostModel.build_worthwhile (bounded by n).
@@ -1128,102 +1129,8 @@ class ScenarioEngine:
         """The cached (read-only) distance vector of one ``(s, F)``."""
         return self.source_vectors([source], faults)[0]
 
-    def _grouped_pair_distances(self, queries: Iterable[Tuple[
-            int, int, Iterable[Edge]]]) -> List[int]:
-        """Batch ``dist_{G \\ F}(s, t)`` over an ``(s, t, F)`` stream.
-
-        The grouped-wave kernel :meth:`restoration_sweep` batches
-        through.  Equivalent to mapping
-        :meth:`pair_replacement_distance` over the triples (and
-        bit-identical to it), but the stream is grouped by canonical
-        fault set first: within one group the pair memo, vector cache
-        and touch filter are consulted per pair as usual, and every
-        pair still needing a traversal then shares **one** masked
-        multi-source wave, with each computed vector cached under
-        ``(s, F)`` and every answered pair memoised under
-        ``(s, t, F)``.  Results align with the input order.
-        """
-        csr = self.csr
-        has_vertex = csr.has_vertex
-        canon = _canonical
-        items: List[Tuple[int, int, FaultSet]] = []
-        add_item = items.append
-        for s, t, faults in queries:
-            if not has_vertex(t):
-                raise GraphError(f"unknown target vertex {t}")
-            add_item((s, t, canon(faults)))
-        out: List[Optional[int]] = [None] * len(items)
-        groups: "OrderedDict[FaultSet, List[int]]" = OrderedDict()
-        groups_get = groups.get
-        for i, (_, _, fault_key) in enumerate(items):
-            bucket = groups_get(fault_key)
-            if bucket is None:
-                groups[fault_key] = bucket = []
-            bucket.append(i)
-        memo_max = self._memo_max
-        memo_put = self._memo_put
-        touches = self.faults_touch_pair
-        offer_delta = self.try_delta
-        masked = self._masked
-        wave = self._wave
-        for fault_key, idxs in groups.items():
-            pending: Dict[int, List[int]] = {}
-            pending_get = pending.get
-            for i in idxs:
-                s, t, _ = items[i]
-                if memo_max:
-                    key = (s, t, fault_key)
-                    cached = self._memo.get(key, _MISS)
-                    if cached is not _MISS:
-                        self.cache_hits += 1
-                        self._memo.move_to_end(key)
-                        out[i] = cached
-                        continue
-                    self.cache_misses += 1
-                    vector = self._memo.get((s, fault_key), _MISS)
-                    if vector is not _MISS:
-                        self.vector_hits += 1
-                        self._memo.move_to_end((s, fault_key))
-                        out[i] = vector[t]
-                        memo_put(key, out[i])
-                        continue
-                if not touches(s, t, fault_key):
-                    out[i] = self.base_distances(s)[t]
-                    memo_put((s, t, fault_key), out[i])
-                    continue
-                bucket = pending_get(s)
-                if bucket is None:
-                    pending[s] = bucket = []
-                bucket.append(i)
-            if not pending:
-                continue
-            batch = list(pending)
-            waving = []
-            for s in batch:
-                vector = offer_delta(s, fault_key, batch_hint=len(batch))
-                if vector is None:
-                    waving.append(s)
-                    continue
-                for i in pending[s]:
-                    t = items[i][1]
-                    out[i] = vector[t]
-                    memo_put((s, t, fault_key), vector[t])
-            if not waving:
-                continue
-            if memo_max:
-                self.vector_misses += len(waving)
-            with masked(fault_key) as mask:
-                rows = wave(mask, waving)
-            for s, row in zip(waving, rows):
-                memo_put((s, fault_key), row)
-                for i in pending[s]:
-                    t = items[i][1]
-                    out[i] = row[t]
-                    memo_put((s, t, fault_key), row[t])
-        return out
-
     # ------------------------------------------------------------------
-    # restoration queries
+    # midpoint scans
     # ------------------------------------------------------------------
     def midpoint_scan(self, scheme, s: int, t: int,
                       faults: Iterable[Edge],
@@ -1245,32 +1152,6 @@ class ScenarioEngine:
             fault_free=lambda tree, remaining:
                 self.tree_index(tree).fault_free_vertices(remaining),
         )
-
-    def restoration_sweep(self, scheme, instances) -> List[ScenarioResult]:
-        """Batch Figure-1 style instances ``(s, t, e)``.
-
-        For each instance the value is ``(target, result)`` — the true
-        replacement distance and the naive (``F' = ∅``) midpoint-scan
-        outcome, or ``None`` when the fault disconnects the pair.
-
-        The target distances run through
-        :meth:`_grouped_pair_distances`, so instances sharing a fault
-        edge (a Figure-1 sweep queries many pairs per edge) share one
-        masked multi-source wave.
-        """
-        self._require_unweighted("restoration_sweep")
-        instances = list(instances)
-        targets = self._grouped_pair_distances(
-            (s, t, (e,)) for s, t, e in instances
-        )
-        out = []
-        for i, ((s, t, e), target) in enumerate(zip(instances, targets)):
-            if target == UNREACHABLE:
-                out.append(ScenarioResult(i, _canonical([e]), None))
-                continue
-            result = self.midpoint_scan(scheme, s, t, [e])
-            out.append(ScenarioResult(i, _canonical([e]), (target, result)))
-        return out
 
     # ------------------------------------------------------------------
     # preserver queries

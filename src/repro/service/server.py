@@ -13,8 +13,7 @@ Admission control is weight-based and deterministic: a request of
 ``k`` queries is refused (typed ``admission`` error reply, nothing
 queued) when it would push the sending client above
 ``max_inflight_client`` or the server above ``max_inflight`` — typed
-backpressure instead of unbounded queues, the same budget idiom as
-the fleet's capacity accounting.  Shutdown is a graceful
+backpressure instead of unbounded queues.  Shutdown is a graceful
 :meth:`ScenarioServer.drain`: stop accepting, refuse new requests
 with a ``draining`` error, flush the coalescer, answer everything
 in flight, then close.  Tenant graph changes are announced by

@@ -23,7 +23,7 @@ from repro.core.weights import AntisymmetricWeights
 from repro.exceptions import GraphError, QueryError
 from repro.graphs import generators
 from repro.graphs.base import Graph
-from repro.query import DistanceQuery, Session
+from repro.query import DistanceQuery, RestorationQuery, Session
 from repro.scenarios import ScenarioEngine, random_fault_sets, single_edge_faults
 from repro.spt.apsp import (
     all_pairs_bfs_distances,
@@ -325,12 +325,13 @@ class TestConsumerEquivalence:
         from repro.core.scheme import RestorableTiebreaking
 
         scheme = RestorableTiebreaking.build(g, f=1, seed=3)
-        engine = ScenarioEngine(g)
+        session = Session(g, scheme=scheme)
         path = scheme.path(0, 9)
         instances = [(0, 9, e) for e in path.edges()]
         instances += [(1, 9, e) for e in path.edges()]
-        for item in engine.restoration_sweep(scheme, instances):
-            s, t, e = instances[item.index]
+        answers = session.answer(RestorationQuery(s, t, (e,))
+                                 for s, t, e in instances)
+        for (s, t, e), item in zip(instances, answers):
             want = bfs_distances(g.without([e]), s)[t]
             if item.value is None:
                 assert want == -1

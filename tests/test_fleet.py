@@ -1,5 +1,5 @@
 """The engine fleet (repro.fleet): protocol spawn-safety, routing,
-capacity accounting, worker lifecycle, and FleetSession conformance.
+worker lifecycle, and FleetSession conformance.
 
 The general Session-surface conformance lives in test_query_api.py
 (the facade tests parametrised over the `make_session` factory); this
@@ -29,7 +29,6 @@ from repro.fleet import (
     FleetSession,
     Router,
     TenantSpec,
-    WorkerCapacity,
     WorkerRegistry,
     fault_hash,
 )
@@ -42,7 +41,6 @@ from repro.fleet.protocol import (
     ReportRequest,
     ShutdownRequest,
     raise_reply,
-    request_weight,
 )
 from repro import obs
 from repro.obs import TraceContext
@@ -156,13 +154,6 @@ class TestSpawnSafety:
                                    exc_type="ZeroDivisionError",
                                    message="boom"))
 
-    def test_request_weight(self):
-        assert request_weight(PingRequest()) == 1
-        assert request_weight(
-            ExecuteRequest(tenant="d",
-                           queries=(ConnectivityQuery(),) * 5)
-        ) == 5
-
 
 # ----------------------------------------------------------------------
 # router
@@ -177,7 +168,7 @@ class TestRouter:
         assert fault_hash(key) == zlib.crc32(repr(key).encode())
 
     def test_fault_affinity(self, grid4):
-        router = Router("faults")
+        router = Router()
         stream = _mixed_stream(grid4, seed=4)
         shards = router.shard(stream, ["w0", "w1", "w2"])
         owner = {}
@@ -189,26 +180,28 @@ class TestRouter:
 
     def test_deterministic_across_instances(self, grid4):
         stream = _mixed_stream(grid4, seed=7)
-        a = Router("faults").shard(stream, ["w0", "w1"])
-        b = Router("faults").shard(stream, ["w0", "w1"])
+        a = Router().shard(stream, ["w0", "w1"])
+        b = Router().shard(stream, ["w0", "w1"])
         assert a == b
 
     def test_routes_around_full_workers(self, grid4):
         stream = _mixed_stream(grid4, seed=4)
-        shards = Router("faults").shard(stream, ["w1", "w2"])
+        shards = Router().shard(stream, ["w1", "w2"])
         assert "w0" not in shards
         assert sorted(i for idx in shards.values() for i in idx) == \
             list(range(len(stream)))
 
     def test_source_policy_partitions_by_range(self):
-        router = Router("source", n=100)
+        # one fault set, every query sourced: the batch rule picks the
+        # source range
+        router = Router(n=100)
         stream = [VectorQuery(s, [(0, 1)]) for s in range(100)]
         shards = router.shard(stream, ["w0", "w1"])
         assert shards["w0"] == list(range(50))
         assert shards["w1"] == list(range(50, 100))
 
     def test_auto_prefers_source_for_vector_heavy_streams(self):
-        router = Router("auto", n=100)
+        router = Router(n=100)
         # one fault set, many sources: fault-hashing would idle w1
         stream = [VectorQuery(s, [(0, 1)]) for s in range(0, 100, 5)]
         assert router.resolve(stream, ["w0", "w1"]) == "source"
@@ -217,71 +210,9 @@ class TestRouter:
         assert router.resolve([ConnectivityQuery()], ["w0", "w1"]) \
             == "faults"
 
-    def test_unknown_policy_raises(self):
-        with pytest.raises(FleetError, match="unknown routing policy"):
-            Router("roundrobin")
-
     def test_zero_eligible_raises(self):
-        with pytest.raises(FleetError, match="zero eligible"):
-            Router("faults").shard([ConnectivityQuery()], [])
-
-
-# ----------------------------------------------------------------------
-# capacity accounting
-# ----------------------------------------------------------------------
-class TestCapacity:
-    def test_over_commit_math(self):
-        cap = WorkerCapacity(worker="w0", total_bytes=1000,
-                             used_bytes=900, wave_bytes=50,
-                             in_flight=2, over_commit=1.5)
-        assert cap.committed_bytes == 1500
-        assert cap.booked_bytes == 1000
-        assert cap.available_bytes == 500
-        assert cap.has_room
-
-    def test_full_worker_has_no_room(self):
-        cap = WorkerCapacity(worker="w0", total_bytes=1000,
-                             used_bytes=1000, wave_bytes=0,
-                             in_flight=0, over_commit=1.0)
-        assert not cap.has_room
-
-    def test_unreported_worker_has_room(self):
-        cap = WorkerCapacity(worker="w0", total_bytes=0, used_bytes=0,
-                             wave_bytes=0, in_flight=0, over_commit=1.0)
-        assert cap.has_room
-
-    def test_in_flight_books_against_capacity(self):
-        cap = WorkerCapacity(worker="w0", total_bytes=1000,
-                             used_bytes=500, wave_bytes=100,
-                             in_flight=5, over_commit=1.0)
-        assert cap.available_bytes == 0 and not cap.has_room
-
-    def test_registry_reports_fill_the_book(self, grid4):
-        with WorkerRegistry([TenantSpec("d", grid4, memoize=32)],
-                            workers=2) as registry:
-            registry.reports()
-            caps = registry.capacities()
-            assert set(caps) == {"w0", "w1"}
-            vector_bytes = grid4.n * 8
-            assert all(c.total_bytes == 32 * vector_bytes
-                       for c in caps.values())
-            assert all(c.wave_bytes == vector_bytes
-                       for c in caps.values())
-
-    def test_saturated_fleet_keeps_all_workers_eligible(self, grid4):
-        with WorkerRegistry([TenantSpec("d", grid4, memoize=4)],
-                            workers=2) as registry:
-            # drive both workers' tiny caches to capacity
-            for name in registry.workers:
-                registry.dispatch({name: ExecuteRequest(
-                    tenant="d",
-                    queries=tuple(VectorQuery(s, [(0, 1)])
-                                  for s in range(8)),
-                )})
-            registry.reports()
-            assert all(not c.has_room
-                       for c in registry.capacities().values())
-            assert sorted(registry.routing_candidates()) == ["w0", "w1"]
+        with pytest.raises(FleetError, match="zero workers"):
+            Router().shard([ConnectivityQuery()], [])
 
 
 # ----------------------------------------------------------------------
@@ -296,8 +227,6 @@ class TestRegistry:
             WorkerRegistry([], workers=1)
         with pytest.raises(FleetError, match="duplicate tenant"):
             WorkerRegistry([spec, TenantSpec("d", grid4)])
-        with pytest.raises(FleetError, match="over_commit"):
-            WorkerRegistry([spec], over_commit=0)
 
     def test_ping_and_close(self, grid4):
         registry = WorkerRegistry([TenantSpec("d", grid4)], workers=2)
@@ -372,6 +301,27 @@ class TestFleetSession:
             assert names <= {"w0", "w1"} and len(names) == 2
             shares = fleet.stats.by_worker
             assert sum(shares.values()) == len(stream)
+
+    def test_reading_reports_never_reroutes(self, er_medium):
+        # w0 owns these fault sets and its LRU holds exactly their
+        # vectors; a cache_info() read (what the service's stats verb
+        # runs) must not move them off the worker that caches them
+        owned = [F for F in random_fault_sets(er_medium, 2, 40, seed=1)
+                 if fault_hash(VectorQuery(0, F).fault_key) % 2 == 0][:4]
+        sources = (0, 1, 2)
+        with FleetSession(er_medium, workers=2, delta=False,
+                          memoize=len(owned) * len(sources)) as fleet:
+            fill = fleet.answer([VectorQuery(s, F) for F in owned
+                                 for s in sources])
+            assert {a.provenance.worker for a in fill} == {"w0"}
+            fleet.cache_info()
+            (_, w0_info), = fleet.worker_reports()["w0"].cache_infos
+            assert w0_info.size == w0_info.maxsize
+            again = fleet.answer([VectorQuery(0, owned[0]),
+                                  VectorQuery(1, owned[1])])
+            assert [a.provenance.worker for a in again] == ["w0", "w0"]
+            assert [a.provenance.source for a in again] == [
+                "cache", "cache"]
 
     def test_merged_cache_info_is_sum_of_worker_reports(self,
                                                         er_medium):
@@ -457,7 +407,8 @@ class TestFleetSession:
             fleet.registry.start()
             # the warm vectors were computed at init, before any query
             (report,) = fleet.worker_reports().values()
-            assert report.capacity.used_bytes == 0  # LRU still empty
+            (_, info), = report.cache_infos
+            assert info.size == 0  # LRU still empty
             a = fleet.answer_one(VectorQuery(0))
             assert a.value[15] == 6
 

@@ -13,8 +13,10 @@ import time
 import pytest
 
 from repro.core.restoration import midpoint_scan
+from repro.core.scheme import RestorableTiebreaking
 from repro.exceptions import GraphError, QueryError, ReproError
 from repro.graphs import generators
+from repro.graphs.base import Graph
 from repro.query import (
     Answer,
     ConnectivityQuery,
@@ -30,7 +32,7 @@ from repro.query import (
 )
 from repro.query.session import DEFAULT_TENANT
 from repro.scenarios import CacheInfo, ScenarioEngine, random_fault_sets
-from repro.spt.bfs import UNREACHABLE
+from repro.spt.bfs import UNREACHABLE, bfs_distances
 from repro.weighted.graph import WeightedGraph
 
 
@@ -60,6 +62,15 @@ def _reference_value(engine, q):
     if isinstance(q, ConnectivityQuery):
         return engine.graph.without(q.faults).is_connected()
     raise AssertionError(q)
+
+
+def _naive_restoration(scheme, s, t, e):
+    """The naive oracle for one ``RestorationQuery``: BFS over the
+    fault view for the target, the core midpoint scan for the result."""
+    target = bfs_distances(scheme.graph.without([e]), s)[t]
+    if target == UNREACHABLE:
+        return None
+    return target, midpoint_scan(scheme, s, t, [e])
 
 
 class TestQueryObjects:
@@ -224,9 +235,9 @@ class TestAnswerEquality:
         answers = session.answer(
             RestorationQuery(s, t, (e,)) for s, t, e in instances
         )
-        ref = _quiet_engine(grid4).restoration_sweep(grid_scheme,
-                                                     instances)
-        assert [a.value for a in answers] == [r.value for r in ref]
+        ref = [_naive_restoration(grid_scheme, s, t, e)
+               for s, t, e in instances]
+        assert [a.value for a in answers] == ref
         assert all(a.provenance.kernel == "restoration_sweep"
                    for a in answers)
 
@@ -510,6 +521,26 @@ class TestSessionFacade:
         a = session.answer_one(DistanceQuery(0, 15, [(0, 1)]))
         assert isinstance(a.query, DistanceQuery) and a.value == 6
         assert session.pending == 0
+
+    def test_restoration_matches_naive_oracle(self, grid4, make_session):
+        # a 4x4 grid plus a pendant vertex: its bridge (15, 16)
+        # disconnects every pair that crosses it
+        graph = Graph(17, [*grid4.edges(), (15, 16)])
+        scheme = RestorableTiebreaking.build(graph, f=1, seed=7)
+        session = make_session(graph)
+        instances = [(s, t, e) for s, t in ((0, 15), (3, 16), (5, 6))
+                     for e in [*sorted(grid4.edges())[:6], (15, 16)]]
+        answers = session.answer(
+            [RestorationQuery(s, t, (e,)) for s, t, e in instances],
+            scheme,
+        )
+        assert [a.value for a in answers] == [
+            _naive_restoration(scheme, s, t, e) for s, t, e in instances
+        ]
+        assert any(a.value is None for a in answers)
+        assert all(a.provenance.source == "wave"
+                   and a.provenance.detail == "restoration-sweep"
+                   for a in answers)
 
     def test_midpoint_scan_matches_core(self, grid4, grid_scheme,
                                         make_session):

@@ -6,18 +6,24 @@ rewrite that must not — so a rule that silently stops firing (or
 starts over-firing) breaks a named test, not just the repo sweep.  On
 top of the fixtures: suppression-pragma semantics, the select/ignore
 filters, both reporters, the CLI exit-code contract, and the
-self-check that ``src/repro`` itself is clean.
+self-checks that ``src/repro`` itself is clean and that every
+hot-path registry entry still names a function.
 """
 
 from __future__ import annotations
 
+import ast
 import json
+from fnmatch import fnmatch
 from pathlib import Path
 
 import pytest
 
 from repro.devtools.lint import all_rules, lint_paths, lint_source
 from repro.devtools.lint.cli import main
+from repro.devtools.lint.config import HOT_PATHS, VECTORIZED_HOT_PATHS
+from repro.devtools.lint.core import iter_python_files, module_name_for
+from repro.devtools.lint.hygiene import _functions
 from repro.devtools.lint.reporters import (
     JSON_SCHEMA_VERSION,
     render_json,
@@ -545,6 +551,24 @@ def test_src_repro_is_lint_clean():
     active = [f for f in findings if not f.suppressed]
     assert active == [], render_text(findings, files_checked)
     assert files_checked > 50
+
+
+def test_every_hot_path_entry_matches_a_function():
+    """A registry entry whose function was deleted or renamed checks
+    nothing; it must go with the function."""
+    defined = [
+        (module_name_for(path), qualname)
+        for path in iter_python_files([SRC])
+        for qualname, _ in _functions(
+            ast.parse(path.read_text(encoding="utf-8")))
+    ]
+    stale = [
+        entry for entry in HOT_PATHS + VECTORIZED_HOT_PATHS
+        if not any(fnmatch(module, entry.partition(":")[0])
+                   and fnmatch(qualname, entry.partition(":")[2])
+                   for module, qualname in defined)
+    ]
+    assert stale == []
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,13 @@ from repro.exceptions import GraphError
 from repro.graphs import generators
 from repro.graphs.base import Graph
 from repro.preservers.verification import preserver_violations
-from repro.query import ConnectivityQuery, DistanceQuery, Session, VectorQuery
+from repro.query import (
+    ConnectivityQuery,
+    DistanceQuery,
+    RestorationQuery,
+    Session,
+    VectorQuery,
+)
 from repro.scenarios import (
     ScenarioEngine,
     ScenarioResult,
@@ -192,10 +198,10 @@ class TestScenarioEngine:
 
     def test_restoration_sweep_restorable_never_fails(self, torus):
         scheme = RestorableTiebreaking.build(torus, f=1, seed=6)
-        engine = ScenarioEngine(torus)
+        session = Session(torus, scheme=scheme)
         path = scheme.path(0, 12)
-        instances = [(0, 12, e) for e in path.edges()]
-        for item in engine.restoration_sweep(scheme, instances):
+        for item in session.answer(RestorationQuery(0, 12, (e,))
+                                   for e in path.edges()):
             assert item.value is not None
             target, result = item.value
             assert result is not None and result.path.hops == target

@@ -253,6 +253,9 @@ class TestTracing:
                 lambda: a.answer([VectorQuery(0, (e,))]),
                 lambda: b.answer([VectorQuery(1, (e,))]),
             )
+        # the server closes each service.request span after sending
+        # its reply; draining waits for both before they are read
+        server.drain(timeout=30)
         records = obs.span_records()
         roots = [r for r in records if r["name"] == "client.request"]
         assert len(roots) == 2
@@ -288,6 +291,7 @@ class TestTracing:
         obs.enable()  # client side on; server shares the process here
         with _connect(server, client="probe") as client:
             client.answer([DistanceQuery(0, 1)])
+        server.drain(timeout=30)  # the span closes after the reply
         names = {r["name"] for r in obs.span_records()}
         assert {"client.request", "service.request"} <= names
 

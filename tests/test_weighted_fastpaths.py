@@ -252,7 +252,7 @@ class TestWeightedEngineGuards:
         wg = WeightedGraph.random(12, 0.3, seed=1)
         engine = ScenarioEngine(wg)
         try:
-            engine.restoration_sweep(None, [])
+            engine.midpoint_scan(None, 0, 1, [])
         except GraphError as err:
             assert "weighted" in str(err)
         else:  # pragma: no cover - regression guard
