@@ -10,7 +10,11 @@ by both registered backends (:mod:`repro.backends`) and timed —
 
 across ``n in {200, 2_000, 20_000}`` sparse snapshots (``m = 4n``).
 Every (workload, n) cell asserts the two backends' outputs are
-**bit-identical** before any timing is trusted.  A final experiment
+**bit-identical** before any timing is trusted, and is timed warm:
+each backend's first call on the cell is timed apart and reported as
+``pyloops_first_call_s`` / ``vectorized_first_call_s``, because it
+pays one-time process costs (``import numpy``'s lazy submodules, the
+snapshot's ndarray mirror) that no later call pays.  A final experiment
 checks the auto-dispatch guard: on the smallest snapshot, ``auto``
 must not regress more than 5% against forced ``pyloops`` (the
 calibrated thresholds route tiny calls to the loops, so the dispatch
@@ -50,14 +54,22 @@ except ImportError:  # running standalone, not under benchmarks/conftest
 
 
 def best_of(fn, repeats):
-    """(result, best seconds) over ``repeats`` calls."""
-    result = None
+    """(result, best warm seconds, first-call seconds).
+
+    The first call is timed on its own and kept out of the best: it
+    pays one-time process costs (numpy's lazy submodule imports, the
+    snapshot's ndarray mirror) that no later call pays, so billing it
+    to a cell would time process start-up instead of the kernel.
+    """
+    t0 = time.perf_counter()
+    result = fn()
+    first = time.perf_counter() - t0
     best = float("inf")
     for _ in range(repeats):
         t0 = time.perf_counter()
         result = fn()
         best = min(best, time.perf_counter() - t0)
-    return result, best
+    return result, best, first
 
 
 def build_snapshot(n: int, seed: int):
@@ -103,15 +115,14 @@ def run_experiment(quick: bool, seed: int):
     big_batched_speedup = None
     for n in sizes:
         csr = build_snapshot(n, seed + n)
-        # best-of-3 even at the largest size: the first vectorized
-        # call on a snapshot builds its ndarray mirror and faults in
-        # the distance-matrix pages (setup cost, not kernel cost),
-        # and single samples on shared machines swing 2-3x.
+        # Every cell is timed warm (after one untimed call, reported
+        # as *_first_call_s), best-of-3 on full runs: single samples
+        # on shared machines swing 2-3x.
         repeats = 1 if quick else 3
         for name, kernel, args, batch in workloads(csr, seed):
-            loops_out, t_loop = best_of(
+            loops_out, t_loop, first_loop = best_of(
                 lambda: getattr(pyl, kernel)(*args), repeats)
-            vec_out, t_vec = best_of(
+            vec_out, t_vec, first_vec = best_of(
                 lambda: getattr(vec, kernel)(*args), repeats)
             if loops_out != vec_out:
                 raise AssertionError(
@@ -120,7 +131,8 @@ def run_experiment(quick: bool, seed: int):
             rows.append({
                 "workload": name, "n": n, "m": len(csr.indices) // 2,
                 "batch": batch, "pyloops_s": t_loop, "vectorized_s": t_vec,
-                "speedup": speedup,
+                "speedup": speedup, "pyloops_first_call_s": first_loop,
+                "vectorized_first_call_s": first_vec,
             })
             if name == "batch 256" and n == max(sizes):
                 big_batched_speedup = speedup

@@ -14,12 +14,15 @@ per-arc interpreter frames with whole-frontier array sweeps:
 * **BFS** (:func:`csr_bfs_distances`) — level-synchronous boolean
   frontier: gather the frontier's arc heads, drop seen vertices,
   stamp the depth.
-* **Multi-source BFS** (:func:`csr_bfs_distances_many`) — the
-  bit-packed wave becomes a 2-D ``(n, ceil(S/64))`` uint64 frontier
-  matrix.  Per level, head contributions are OR-reduced with
-  ``argsort`` + ``np.bitwise_or.reduceat`` (a ufunc ``.at`` scatter is
-  far slower), and freshly discovered (vertex, source) pairs are
-  decoded via ``np.unpackbits`` in one shot.
+* **Multi-source BFS** (:func:`csr_bfs_distances_many`) — a
+  direction-optimizing bit-packed wave over word-major
+  ``(ceil(S/64), n)`` uint64 frontier/seen matrices, with no sort
+  anywhere.  Dense levels *pull*: arc sets are symmetric, so gathering
+  the frontier at ``indices`` lists every row's in-neighbour bits
+  contiguously and one ``np.bitwise_or.reduceat`` ORs them per row.
+  Sparse levels *push* the frontier's own arcs with
+  ``np.bitwise_or.at``.  Depths are bit-sliced into a few planes and
+  decoded into the ``(S, n)`` output once, after the last level.
 * **Weighted distances** (:func:`csr_weighted_distances`) —
   frontier-restricted label-correcting (Bellman–Ford on the active
   set): each round relaxes every out-arc of the vertices whose
@@ -54,7 +57,6 @@ Python ints, exactly like the loops.
 
 from __future__ import annotations
 
-import sys
 from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from repro.backends.api import UNREACHABLE, check_source, numpy_or_none
@@ -68,10 +70,12 @@ __all__ = ["VectorizedBackend"]
 #: it), small enough that one further int64 addition cannot wrap.
 _INF = 1 << 62
 
-# uint64 words are decoded to per-source bits via a uint8 view +
-# np.unpackbits(bitorder="little"); on a big-endian host the bytes of
-# each word must be swapped first so bit j still means source j.
-_NEEDS_BYTESWAP = sys.byteorder == "big"
+#: The multi-source wave pulls a level (every row ORs its in-neighbours'
+#: frontier words) when the frontier's out-arcs exceed ``arcs /
+#: _PULL_DIVISOR``, and pushes along the frontier's own arcs otherwise.
+#: Pulling every level loses on long paths and pushing every level on
+#: random and grid graphs; divisors from 4 to 64 time alike on both.
+_PULL_DIVISOR = 16
 
 
 def _require_numpy() -> Any:
@@ -141,14 +145,6 @@ def _arc_ids(np: Any, indptr: Any, rows: Any) -> Any:
     prefix = np.cumsum(counts) - counts
     return (np.arange(total, dtype=np.int64)
             + np.repeat(starts - prefix, counts))
-
-
-def _decode_bits(np: Any, words: Any, width: int) -> Any:
-    """``(k, W)`` uint64 → ``(k, width)`` 0/1 matrix, bit j = source j."""
-    if _NEEDS_BYTESWAP:  # pragma: no cover - little-endian CI
-        words = words.byteswap()
-    return np.unpackbits(words.view(np.uint8), axis=1,
-                         bitorder="little", count=width)
 
 
 def csr_bfs_distances(csr: CSRGraph, mask: Optional[bytearray],
@@ -283,16 +279,26 @@ def csr_bfs_distances_many(csr: CSRGraph, mask: Optional[bytearray],
                            sources: Iterable[int]) -> List[List[int]]:
     """Vectorised sibling of ``batched.csr_bfs_distances_many``.
 
-    The bit-packed wave as a 2-D uint64 frontier matrix: row ``v``
-    holds one bit per source.  Per level the frontier's head
-    contributions are OR-reduced per head vertex with ``argsort`` +
-    ``np.bitwise_or.reduceat``, and the fresh (vertex, source)
-    discoveries are decoded with one ``np.unpackbits`` into a masked
-    row update of the distance matrix.  That matrix is kept
-    **vertex-major** (``(n, sources)``) so the per-level update writes
-    contiguous rows — a source-major layout would scatter every
-    discovery across a strided column, which dominates the whole
-    kernel at large ``n`` — and transposed once at the end.
+    The bit-packed wave as word-major ``(W, n)`` uint64 frontier and
+    seen matrices, ``W = ceil(S / 64)``: bit ``j & 63`` of word row
+    ``j >> 6`` is source ``j``.  Each level picks its direction from
+    the frontier's out-arc count (Beamer et al., SC'12):
+
+    * **pull** (frontier arcs > arcs / ``_PULL_DIVISOR``) — arc sets
+      are symmetric, so row ``v`` lists ``v``'s in-neighbours and
+      ``frontier.take(indices, axis=1)`` comes out grouped by row; one
+      ``np.bitwise_or.reduceat`` at the non-empty rows' starts ORs
+      every vertex's in-neighbour bits without a sort.  A masked arc
+      ``p`` is honoured by zeroing its pull position ``rev[p]``, so
+      one-orientation masks stay exact.
+    * **push** — ``np.bitwise_or.at`` of the frontier's surviving
+      arcs into their heads.
+
+    Depths are bit-sliced: plane ``b`` holds bit ``b`` of ``depth + 1``
+    for every discovered (source, vertex) bit, so a level ORs its
+    fresh bits into one plane per set bit of ``depth + 1``.  The
+    planes are decoded once, after the last level, into the ``(S, n)``
+    output; an undiscovered entry decodes to ``0 - 1 = UNREACHABLE``.
     """
     np = _require_numpy()
     src_list = list(sources)
@@ -303,53 +309,77 @@ def csr_bfs_distances_many(csr: CSRGraph, mask: Optional[bytearray],
         return []
     nd = _mirror(np, csr)
     indptr, indices, tails = nd.indptr, nd.indices, nd.tails
+    degree, rows, row_starts = nd.degree, nd.rows, nd.row_starts
     ok = _lift_mask(np, mask)
+    pull_zero = None if ok is None else nd.rev[np.flatnonzero(~ok)]
     n = csr.n
     n_sources = len(src_list)
     words = (n_sources + 63) >> 6
-    src_arr = np.asarray(src_list, dtype=np.int64)
-    dist = np.full((n, n_sources), UNREACHABLE, dtype=np.int32)
-    dist[src_arr, np.arange(n_sources)] = 0
-    frontier = np.zeros((n, words), dtype=np.uint64)
-    seen = np.zeros((n, words), dtype=np.uint64)
-    word_of = np.arange(n_sources) >> 6
-    bit_of = (np.ones(n_sources, dtype=np.uint64)
-              << (np.arange(n_sources, dtype=np.uint64) & np.uint64(63)))
-    bitwise_or_at = np.bitwise_or.at
-    bitwise_or_at(frontier, (src_arr, word_of), bit_of)
-    bitwise_or_at(seen, (src_arr, word_of), bit_of)
-    active = np.unique(src_arr)
+    lanes = np.arange(n_sources, dtype=np.int64)
+    frontier = np.zeros((words, n), dtype=np.uint64)
+    np.bitwise_or.at(frontier, (lanes >> 6, np.asarray(src_list)),
+                     np.left_shift(np.uint64(1),
+                                   (lanes & 63).astype(np.uint64)))
+    seen = frontier.copy()
+    planes = [frontier.copy()]  # depth 0 -> depth + 1 == 0b1
+    pull_arcs = indices.size / _PULL_DIVISOR
+    or_at = np.bitwise_or.at
     or_reduceat = np.bitwise_or.reduceat
+    flatnonzero = np.flatnonzero
+    zeros_like = np.zeros_like
     arc_ids = _arc_ids
-    copyto = np.copyto
+    active = flatnonzero(frontier.any(axis=0))
     depth = 0
-    while active.size:
+    while True:
         depth += 1
-        idx = arc_ids(np, indptr, active)
-        if ok is not None:
-            idx = idx[ok[idx]]
-        if not idx.size:
-            frontier[active] = 0
+        reached = zeros_like(frontier)
+        if int(degree[active].sum()) > pull_arcs:
+            pulled = frontier.take(indices, axis=1)
+            if pull_zero is not None:
+                pulled[:, pull_zero] = 0
+            reached[:, rows] = or_reduceat(pulled, row_starts, axis=1)
+        else:
+            idx = arc_ids(np, indptr, active)
+            if ok is not None:
+                idx = idx[ok[idx]]
+            heads, tails_of = indices[idx], tails[idx]
+            for w in range(words):
+                or_at(reached[w], heads, frontier[w, tails_of])
+        frontier = reached & ~seen
+        active = flatnonzero(frontier.any(axis=0))
+        if not active.size:
             break
-        heads = indices[idx]
-        order = np.argsort(heads)
-        contrib = frontier[tails[idx[order]]]
-        frontier[active] = 0
-        uniq, starts = np.unique(heads[order], return_index=True)
-        gathered = or_reduceat(contrib, starts, axis=0)
-        fresh = gathered & ~seen[uniq]
-        any_fresh = fresh.any(axis=1)
-        vs = uniq[any_fresh]
-        fresh = fresh[any_fresh]
-        if vs.size:
-            seen[vs] |= fresh
-            frontier[vs] = fresh
-            bits = _decode_bits(np, fresh, n_sources)
-            rows = dist[vs]
-            copyto(rows, depth, where=bits.view(np.bool_))
-            dist[vs] = rows
-        active = vs
-    return np.ascontiguousarray(dist.T).tolist()
+        seen |= frontier
+        code = depth + 1
+        if code >> len(planes):
+            planes.append(zeros_like(frontier))
+        for b, plane in enumerate(planes):
+            if code >> b & 1:
+                plane |= frontier
+    return _decode_depths(np, planes, lanes).tolist()
+
+
+def _decode_depths(np: Any, planes: List[Any], lanes: Any) -> Any:
+    """``(S, n)`` int32 distances from bit-sliced ``depth + 1`` planes.
+
+    Lane ``j`` reads bit ``j & 7`` of byte ``(j & 63) >> 3`` of word
+    row ``j >> 6`` (little-endian words, so the byte order is fixed on
+    every host); plane ``b`` contributes ``2**b``.
+    """
+    n = planes[0].shape[1]
+    word, byte = lanes >> 6, (lanes & 63) >> 3
+    shift = (lanes & 7).astype(np.uint8)[:, None]
+    code = np.zeros((lanes.size, n),
+                    dtype=np.min_scalar_type((1 << len(planes)) - 1))
+    for b, plane in enumerate(planes):
+        as_bytes = plane.astype("<u8", copy=False).view(np.uint8)
+        bits = as_bytes.reshape(-1, n, 8)[word, :, byte]
+        bits >>= shift
+        bits &= 1
+        code |= bits.astype(code.dtype, copy=False) << code.dtype.type(b)
+    dist = code.astype(np.int32)
+    dist -= 1  # an undiscovered entry (code 0) becomes UNREACHABLE
+    return dist
 
 
 def csr_weighted_distances_many(csr: CSRGraph, mask: Optional[bytearray],

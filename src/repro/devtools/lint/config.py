@@ -120,6 +120,7 @@ VECTORIZED_HOT_PATHS: Tuple[str, ...] = (
     "repro.backends.vectorized:_weighted_dist",
     "repro.backends.vectorized:_repair_region",
     "repro.backends.vectorized:_arc_ids",
+    "repro.backends.vectorized:_decode_depths",
 )
 
 # ---------------------------------------------------------------------------

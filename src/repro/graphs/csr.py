@@ -318,20 +318,28 @@ class _NDMirror:
       position of arc ``(head_i, tail_i)``.  Arc ids are sorted by
       ``(tail, head)`` (rows are sorted), so the permutation sorting
       them by ``(head, tail)`` *is* the reverse map on a simple graph.
-      Built only for weighted snapshots (seed lookups in the weighted
-      repair kernel need it).
+      Built always: the weighted repair kernel reads reverse weights
+      through it, and the multi-source wave's pull levels find the
+      pull positions of masked arcs with it.
+    * ``degree`` — the row lengths, ``indptr[v + 1] - indptr[v]``.
+    * ``rows`` / ``row_starts`` — the non-empty rows and their first
+      arc ids: the segment starts of a per-row ``reduceat`` over an
+      arc-aligned array (an empty row has no segment of its own).
     """
 
     __slots__ = ("indptr", "indices", "tails", "weights", "rev",
-                 "max_weight")
+                 "degree", "rows", "row_starts", "max_weight")
 
     def __init__(self, np: Any, csr: "CSRGraph"):
         self.indptr = np.asarray(csr.indptr, dtype=np.int64)
         self.indices = np.asarray(csr.indices, dtype=np.int64)
-        counts = self.indptr[1:] - self.indptr[:-1]
-        self.tails = np.repeat(np.arange(csr.n, dtype=np.int64), counts)
+        self.degree = self.indptr[1:] - self.indptr[:-1]
+        self.tails = np.repeat(np.arange(csr.n, dtype=np.int64),
+                               self.degree)
+        self.rev = np.lexsort((self.tails, self.indices))
+        self.rows = np.flatnonzero(self.degree)
+        self.row_starts = self.indptr[self.rows]
         self.weights: Any = None
-        self.rev: Any = None
         self.max_weight = 0
         if csr.weights is not None:
             try:
@@ -341,7 +349,6 @@ class _NDMirror:
             if w is not None:
                 self.weights = w
                 self.max_weight = int(w.max()) if len(csr.weights) else 0
-                self.rev = np.lexsort((self.tails, self.indices))
 
 
 class CSRFaultView:

@@ -29,6 +29,7 @@ from repro.backends import (
 from repro.backends.dispatch import backend_for, backend_name_for, kernel_impl
 from repro.exceptions import BackendError, GraphError
 from repro.graphs import generators
+from repro.graphs.base import Graph
 from repro.query import DistanceQuery, Session, VectorQuery
 from repro.scenarios import ScenarioEngine
 from repro.spt.bfs import UNREACHABLE as BFS_UNREACHABLE
@@ -230,7 +231,16 @@ class TestNDMirror:
         for i in range(len(csr.indices)):
             t, h = int(nd.tails[i]), int(nd.indices[i])
             assert int(nd.weights[nd.rev[i]]) == 1 + h * 10 + t
-        assert np is not None
+        # Unweighted snapshots carry it too (the multi-source wave's
+        # pull levels read it); isolated vertices leave empty rows.
+        plain = Graph(32, generators.gnm(30, 60, seed=2).edges())
+        nd = plain.csr().ndarrays()
+        assert nd.weights is None
+        assert nd.degree[-1] == 0 and nd.rows[-1] < plain.n - 1
+        assert np.array_equal(nd.rev[nd.rev], np.arange(nd.indices.size))
+        assert np.array_equal(nd.indices[nd.rev], nd.tails)
+        assert np.array_equal(nd.row_starts, nd.indptr[nd.rows])
+        assert np.array_equal(nd.rows, np.flatnonzero(nd.degree))
 
 
 class TestCalibrate:

@@ -40,6 +40,7 @@ from repro.spt.batched import (
 from repro.spt.bfs import bfs_distances
 from repro.spt.fastpaths import (
     csr_bfs_distances,
+    csr_bfs_distances_loops,
     csr_dijkstra_flat,
     csr_weighted_distances,
 )
@@ -103,6 +104,62 @@ def test_bfs_many_bit_identical(backend, case):
     for mask in (None, csr.without(faults)._as_csr()[1]):
         assert csr_bfs_distances_many(csr, mask, sources) == [
             csr_bfs_distances(csr, mask, s) for s in sources
+        ]
+
+
+@st.composite
+def wide_bfs_cases(draw):
+    """(snapshot, arc masks, source batch) for the multi-word BFS wave.
+
+    The shapes :func:`batched_cases` never draws: batches of 65-200
+    sources (more than one 64-bit word), structurally isolated
+    vertices — always including ``n - 1``, an empty last CSR row —
+    paths of ``n >= 300`` with an endpoint among the sources (depths
+    up to ``n - 2 >= 298``, nine or more bits of ``depth + 1``), and
+    per-arc masks that block single orientations of edges.  The
+    reference is the per-source loop kernel: the dispatched per-source
+    call on the vectorized leg would spend ~0.5 s per deep path.
+    """
+    rng = random.Random(draw(st.integers(0, 2**16)))
+    if draw(st.booleans()):
+        n = draw(st.integers(300, 400))
+        order = list(range(n - 1))
+        rng.shuffle(order)
+        g = Graph(n, zip(order, order[1:]))
+        sources = [order[0]]
+    else:
+        n = draw(st.integers(20, 120))
+        isolated = {n - 1} | set(rng.sample(range(n), n // 10))
+        live = [v for v in range(n) if v not in isolated]
+        g = Graph(n)
+        for _ in range(draw(st.integers(0, 3 * n))):
+            u, v = rng.choice(live), rng.choice(live)
+            if u != v:
+                g.add_edge(u, v)
+        sources = [n - 1]
+    sources += [rng.randrange(n)
+                for _ in range(draw(st.integers(64, 199)))]
+    rng.shuffle(sources)
+    csr = g.csr()
+    arcs = len(csr.indices)
+    one_way = bytearray(b"\x01") * arcs
+    for i in rng.sample(range(arcs), min(arcs, draw(st.integers(1, 8)))):
+        one_way[i] = 0
+    edges = sorted(g.edges())
+    faults = rng.sample(edges, min(len(edges), 3))
+    return csr, (None, csr.without(faults)._as_csr()[1], one_way), sources
+
+
+@given(wide_bfs_cases())
+@settings(max_examples=20, **BACKEND_COMMON)
+def test_bfs_many_wide_batches_bit_identical(backend, case):
+    """Multi-word waves match the per-source loops on every mask."""
+    csr, masks, sources = case
+    for mask in masks:
+        want = {s: csr_bfs_distances_loops(csr, mask, s)
+                for s in set(sources)}
+        assert csr_bfs_distances_many(csr, mask, sources) == [
+            want[s] for s in sources
         ]
 
 
