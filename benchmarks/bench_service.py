@@ -12,9 +12,9 @@ ways:
   (today's idiom: every consumer builds its own engine);
 * **service** — N :class:`~repro.service.ServiceClient`\\ s over one
   :class:`~repro.service.BackgroundServer` sharing a single backend
-  session, where the coalescer merges the concurrent requests into
-  one micro-batch per round and the planner's fault-set grouping
-  turns N clients' probes into **one** wave.
+  session.  Each round, the first arrival flushes alone, and the rest
+  share the next batch; the planner's fault-set grouping turns their
+  probes into **one** wave.
 
 Every service answer is asserted equal to the in-process session's
 answer before any timing is trusted, and the coalesced wave count
@@ -162,15 +162,9 @@ def run_service(graph, rounds, clients: int):
     setup is part of the price of the shared front, exactly as worker
     startup is inside the fleet bench's clock.
     """
-    # One round in flight is clients * 4 queries: sizing max_batch to
-    # exactly that makes the size trigger fire the moment the last
-    # client's request lands, so the deadline is a straggler backstop
-    # rather than a per-round latency floor.
-    per_round = len(rounds[0]) * len(rounds[0][0])
     t0 = time.perf_counter()
     backend = Session(graph, delta=False)
-    with BackgroundServer(backend, max_batch=per_round,
-                          max_delay=0.02) as server:
+    with BackgroundServer(backend) as server:
         host, port = server.address
         handles = [ServiceClient(host, port, client=f"bench-{c}")
                    for c in range(clients)]

@@ -5,15 +5,16 @@ A :class:`~repro.service.ScenarioServer` is an asyncio network front
 over one shared :class:`~repro.query.Session` (or a sharded
 :class:`~repro.fleet.FleetSession`).  Clients speak the exact session
 dialect over a socket — and the server's
-:class:`~repro.service.Coalescer` folds concurrent requests into
-rolling micro-batches, so clients querying the *same* failure ride
-one masked wave.  This tour walks the four things the service adds:
+:class:`~repro.service.Coalescer` folds the requests that arrive
+while a batch runs into the next one, so clients querying the *same*
+failure ride one masked wave.  This tour walks the four things the service adds:
 
 1. **The dialect over the wire** — `ServiceClient` is a drop-in for
    `Session`: submit/gather/answer, typed answers with provenance.
-2. **Cross-client coalescing** — two clients ask about the same fault
-   set concurrently; one wave answers both, and every answer's
-   ``provenance.coalesced`` says how many queries rode it.
+2. **Cross-client coalescing under load** — while a third client's
+   sweep is in flight, two clients ask about the same fault set; their
+   requests share the next batch, one wave answers both, and every
+   answer's ``provenance.coalesced`` says how many queries rode it.
 3. **Admission control** — typed ``ServiceError`` backpressure
    instead of unbounded queues.
 4. **Epoch pushes** — the invalidation channel for clients holding
@@ -23,6 +24,7 @@ Run:  PYTHONPATH=src python examples/service.py
 """
 
 import threading
+import time
 
 from repro.exceptions import ServiceError
 from repro.graphs import generators
@@ -34,11 +36,7 @@ def main() -> None:
     graph = generators.connected_erdos_renyi(400, 5.0 / 400, seed=7)
     backend = Session(graph, delta=False)
 
-    # max_batch=2 with a generous deadline: the micro-batch flushes
-    # the moment both demo clients' requests are in (the deadline is
-    # only a straggler backstop).
-    with BackgroundServer(backend, max_batch=2, max_delay=0.25,
-                          max_inflight_client=8) as server:
+    with BackgroundServer(backend) as server:
         host, port = server.address
         print(f"serving {server.server.name!r} on {host}:{port}")
 
@@ -53,13 +51,24 @@ def main() -> None:
                 print(f"  {type(a.query).__name__}: value={a.value} "
                       f"via {a.provenance.source}")
 
-        # --- 2. cross-client coalescing ------------------------------
-        # Two clients, one incident: both ask about fault set F at
-        # the same moment.  The coalescer merges the two requests,
-        # the planner groups them by fault set, one wave serves both.
-        F = (next(iter(graph.edges())),)
+        # --- 2. cross-client coalescing under load -------------------
+        # A request that finds the backend idle is answered at once;
+        # requests that arrive while a batch runs share the next one.
+        # Carol's sweep over 200 failures is in flight (the server's
+        # stats show it) when Alice and Bob both ask about fault set
+        # F: the coalescer flushes their two requests together when
+        # the sweep finishes, the planner groups them by fault set,
+        # and one wave serves both.
+        F, *others = [(e,) for e in graph.edges()]
         a = ServiceClient(host, port, client="noc-alice")
         b = ServiceClient(host, port, client="noc-bob")
+        carol = ServiceClient(host, port, client="noc-carol")
+        sweep = [VectorQuery(0, faults) for faults in others[:200]]
+        sweeping = threading.Thread(target=carol.answer, args=(sweep,))
+        sweeping.start()
+        while (sweeping.is_alive() and
+               a.server_stats()["server"]["inflight"] < len(sweep)):
+            time.sleep(0.001)
         barrier = threading.Barrier(2)
         results = {}
 
@@ -73,8 +82,9 @@ def main() -> None:
         ]
         for t in threads:
             t.start()
-        for t in threads:
+        for t in threads + [sweeping]:
             t.join()
+        carol.close()
         for name, (answer,) in sorted(results.items()):
             p = answer.provenance
             print(f"coalesced for {name}: wave_size={p.wave_size} "
@@ -84,10 +94,11 @@ def main() -> None:
               f"coalesced_queries={counters['coalesced_queries']}")
 
         # --- 3. admission control ------------------------------------
-        # The per-client in-flight budget is 8; a 20-query request is
-        # refused outright with a typed, machine-readable error.
+        # The per-client in-flight budget is 256 (the default); a
+        # 300-query request is refused outright with a typed,
+        # machine-readable error.
         try:
-            a.answer([DistanceQuery(0, t) for t in range(1, 21)])
+            a.answer([DistanceQuery(0, t % graph.n) for t in range(300)])
         except ServiceError as exc:
             print(f"backpressure: code={exc.code!r} ({exc})")
 

@@ -307,13 +307,12 @@ def cmd_serve(args) -> int:
         server = ScenarioServer(
             backend, host=args.host, port=args.port,
             max_batch=args.max_batch,
-            max_delay=args.max_delay_ms / 1000.0,
         )
         await server.start()
         host, port = server.address
         print(f"serving n={graph.n}, m={graph.m} on {host}:{port} "
-              f"(coalescing <= {server.coalescer.max_batch} queries "
-              f"/ {args.max_delay_ms}ms)")
+              f"(requests arriving mid-batch share the next, <= "
+              f"{server.coalescer.max_batch} queries)")
         if metrics_server is not None:
             print(f"metrics: http://{args.host}:"
                   f"{metrics_server.port}/ (Prometheus text)")
@@ -440,11 +439,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="back the service with an N-worker fleet "
                             "(default: 0 = one in-process session)")
     serve.add_argument("--max-batch", type=int, default=64,
-                       help="coalescer flush size in queries "
+                       help="coalescer cap on queries per batch "
                             "(default: 64)")
-    serve.add_argument("--max-delay-ms", type=float, default=2.0,
-                       help="coalescer flush deadline in ms "
-                            "(default: 2)")
     serve.add_argument("--ttl", type=float, default=0,
                        help="serve for this many seconds then drain "
                             "(default: 0 = forever)")

@@ -9,11 +9,11 @@ masked wave, not one each.  This package is that front:
 * :mod:`~repro.service.protocol` — the framed, versioned JSON/pickle
   wire format (one dict-with-``type`` message per length-prefixed
   frame, handshake-enforced :data:`~repro.service.protocol.PROTOCOL_VERSION`).
-* :class:`~repro.service.coalescer.Coalescer` — rolling micro-batches
-  (flush on size or a few-ms deadline) that merge every connection's
-  queries into one backend gather, where the planner's canonical
-  fault-set grouping turns cross-client duplicates into shared waves;
-  each answer's provenance carries the ``coalesced`` head-count.
+* :class:`~repro.service.coalescer.Coalescer` — group-commit batches
+  (flush when idle, batch while one runs) that merge every
+  connection's queries into one backend gather, where the planner's
+  canonical fault-set grouping turns cross-client duplicates into
+  shared waves; each answer carries the ``coalesced`` head-count.
 * :class:`~repro.service.server.ScenarioServer` — the asyncio server:
   admission control (per-client and global in-flight weights, typed
   ``admission`` backpressure replies), graceful drain, ``epoch`` push

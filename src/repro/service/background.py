@@ -4,10 +4,9 @@ The server is asyncio; most of this library's consumers (tests,
 benchmarks, synchronous scripts) are not.  ``BackgroundServer`` runs
 a :class:`~repro.service.server.ScenarioServer` on a daemon thread
 with a private event loop, exposes the bound address, and forwards
-the control surface (:meth:`drain`, :meth:`bump_epoch`,
-:meth:`flush`) through ``run_coroutine_threadsafe`` /
-``call_soon_threadsafe`` — so synchronous code gets a served backend
-in three lines::
+the control surface (:meth:`drain`, :meth:`bump_epoch`) through
+``run_coroutine_threadsafe`` — so synchronous code gets a served
+backend in three lines::
 
     with BackgroundServer(Session(graph)) as server:
         with ServiceClient(*server.address) as client:
@@ -76,10 +75,6 @@ class BackgroundServer:
         :meth:`ScenarioServer.drain`), blocking until done."""
         asyncio.run_coroutine_threadsafe(
             self.server.drain(), self._loop).result(timeout)
-
-    def flush(self) -> None:
-        """Flush the coalescer's pending micro-batch now."""
-        self._loop.call_soon_threadsafe(self.server.coalescer.flush)
 
     def bump_epoch(self, tenant: str = DEFAULT_TENANT) -> int:
         """Thread-safe :meth:`ScenarioServer.bump_epoch`."""

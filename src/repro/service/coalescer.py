@@ -1,15 +1,17 @@
-"""Cross-client wave coalescing: rolling micro-batches over one backend.
+"""Cross-client wave coalescing: group-commit batches over one backend.
 
 The service's reason to exist: the paper's workload is *many queries
 against many fault sets over one base graph*, and concurrent clients
 asking about the same failure should cost one masked wave, not N.
 The :class:`Coalescer` makes that happen without touching the
-planner: it admits every connection's queries into one rolling
-micro-batch (flushed on size or a few-ms deadline), hands the merged
-batch to the shared backend session — whose planner already groups by
-canonical fault set, so queries from different clients sharing a
-fault set ride one wave — and then demultiplexes the answers back to
-each :class:`Ticket` in submission order.
+planner.  It batches by group commit: a ticket admitted while no
+batch is in flight flushes at once; tickets admitted while one runs
+flush together the moment it finishes (or on reaching ``max_batch``
+queries).  The batch goes to the shared backend session — whose
+planner already groups by canonical fault set, so queries from
+different clients sharing a fault set ride one wave — and the
+answers are demultiplexed back to each :class:`Ticket` in
+submission order.
 
 Each answer's :class:`~repro.query.queries.Provenance` is stamped
 with ``coalesced``: how many queries across the whole flushed batch
@@ -17,11 +19,11 @@ shared its canonical fault set.  A value above 1 is the service
 paying one wave for several clients.
 
 Isolation: one client's malformed stream must not poison a merged
-batch.  When a multi-ticket batch fails with a
+batch.  When a batch of several tickets fails with a
 :class:`~repro.exceptions.ReproError`, every ticket is re-answered
 alone, so exactly the guilty tickets see the error and the innocent
 ones still get answers (they lose this batch's coalescing, nothing
-else).
+else); a lone ticket gets its error back at once.
 """
 
 from __future__ import annotations
@@ -81,7 +83,7 @@ def _stamp(answers: List[Answer],
 
 
 class Coalescer:
-    """Admit tickets into rolling micro-batches over one backend.
+    """Admit tickets into group-commit batches over one backend.
 
     Parameters
     ----------
@@ -92,26 +94,22 @@ class Coalescer:
         is the true concurrency and the event loop never blocks on a
         wave.
     max_batch:
-        Flush as soon as the pending micro-batch holds this many
-        queries (counting queries, not tickets — admission control
-        upstream bounds both).
-    max_delay:
-        Flush at most this many seconds after the first pending
-        ticket arrived, so a lone client's latency is bounded even
-        when nobody else shows up to share its wave.
+        Cap on one batch: flush as soon as the pending tickets hold
+        this many queries, even while another batch is in flight
+        (counting queries, not tickets — admission control upstream
+        bounds both).
 
     All entry points must be called on the owning event loop.
     """
 
     def __init__(self, answer_fn: AnswerFn, *,
-                 max_batch: int = 64,
-                 max_delay: float = 0.002) -> None:
+                 max_batch: int = 64) -> None:
         self._answer_fn = answer_fn
         self.max_batch = max(1, int(max_batch))
-        self.max_delay = float(max_delay)
         self._pending: List[Ticket] = []
         self._pending_queries = 0
-        self._timer: Optional[asyncio.TimerHandle] = None
+        #: Flushed batches whose task has not finished yet.
+        self._inflight = 0
         self._tasks: Set["asyncio.Task[None]"] = set()
         self._executor = ThreadPoolExecutor(
             max_workers=1, thread_name_prefix="repro-coalescer",
@@ -128,30 +126,25 @@ class Coalescer:
     # admission
     # ------------------------------------------------------------------
     def submit(self, ticket: Ticket) -> None:
-        """Admit one ticket; flush on size, else arm the deadline."""
+        """Admit one ticket; flush unless a batch is in flight and
+        the pending tickets hold fewer than ``max_batch`` queries."""
         self._pending.append(ticket)
         self._pending_queries += len(ticket.queries)
         if self._pending_queries >= self.max_batch:
             self.flush("size")
-        elif self._timer is None:
-            loop = asyncio.get_running_loop()
-            self._timer = loop.call_later(self.max_delay, self._deadline)
+        elif not self._inflight:
+            self.flush("idle")
 
-    def _deadline(self) -> None:
-        self._timer = None
-        self.flush("deadline")
-
-    def flush(self, reason: str = "manual") -> None:
-        """Flush the pending micro-batch now (no-op when empty)."""
-        if self._timer is not None:
-            self._timer.cancel()
-            self._timer = None
+    def flush(self, reason: str) -> None:
+        """Hand the pending tickets to the backend as one batch (no-op
+        when none wait); ``reason`` is ``size``, ``idle`` or ``drain``."""
         batch, self._pending = self._pending, []
         queries = self._pending_queries
         self._pending_queries = 0
         if not batch:
             return
         self.batches += 1
+        self._inflight += 1
         if _obs.ENABLED:
             _obs.inc("repro_coalescer_flushes_total", reason=reason)
             _obs.observe("repro_coalescer_batch_size", float(queries))
@@ -174,14 +167,22 @@ class Coalescer:
         """
         groups: "OrderedDict[Tuple[str, Optional[bytes]], List[Ticket]]"
         groups = OrderedDict()
-        for ticket in batch:
-            scheme_key = (None if ticket.scheme is None else
-                          pickle.dumps(ticket.scheme,
-                                       protocol=pickle.HIGHEST_PROTOCOL))
-            groups.setdefault((ticket.tenant, scheme_key),
-                              []).append(ticket)
-        for (tenant, _), tickets in groups.items():
-            await self._run_group(tenant, tickets)
+        try:
+            for ticket in batch:
+                scheme_key = (None if ticket.scheme is None else
+                              pickle.dumps(ticket.scheme,
+                                           protocol=pickle.HIGHEST_PROTOCOL))
+                groups.setdefault((ticket.tenant, scheme_key),
+                                  []).append(ticket)
+            for (tenant, _), tickets in groups.items():
+                await self._run_group(tenant, tickets)
+        finally:
+            # Not ``_tasks``: a task leaves it a loop turn late, after
+            # its answers' continuations ran, and a ticket they submit
+            # must find the coalescer idle or it is never flushed.
+            self._inflight -= 1
+            if not self._inflight:
+                self.flush("idle")
 
     async def _run_group(self, tenant: str,
                          tickets: List[Ticket]) -> None:
@@ -217,14 +218,14 @@ class Coalescer:
                             ctx: Optional[TraceContext]) -> None:
         try:
             answers = await self._call(queries, scheme, tenant, ctx)
-        except ReproError:
-            # A merged batch failed: isolate the guilty ticket(s) by
-            # re-answering each alone, so one client's malformed
-            # stream cannot fail its batch-mates (a lone ticket just
-            # gets its own error back).
-            await self._retry_alone(tenant, tickets, ctx)
-            return
-        except Exception as exc:  # backend bug — fail every waiter
+        except Exception as exc:
+            if isinstance(exc, ReproError) and len(tickets) > 1:
+                # A merged batch failed: isolate the guilty ticket(s)
+                # by re-answering each alone, so one client's
+                # malformed stream cannot fail its batch-mates.
+                await self._retry_alone(tenant, tickets, ctx)
+                return
+            # A lone ticket's own error, or a backend bug.
             for ticket in tickets:
                 if not ticket.future.done():
                     ticket.future.set_exception(exc)

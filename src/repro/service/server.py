@@ -67,8 +67,8 @@ class ScenarioServer:
     host, port:
         Bind address; ``port=0`` picks a free port (read it back from
         :attr:`address` after :meth:`start`).
-    max_batch, max_delay:
-        Coalescer flush thresholds (queries per micro-batch, seconds).
+    max_batch:
+        The coalescer's cap on queries per batch.
     max_inflight, max_inflight_client:
         Admission-control weights: queries in flight globally and per
         connection.
@@ -80,7 +80,7 @@ class ScenarioServer:
 
     def __init__(self, backend: SessionDialect, *,
                  host: str = "127.0.0.1", port: int = 0,
-                 max_batch: int = 64, max_delay: float = 0.002,
+                 max_batch: int = 64,
                  max_inflight: int = 1024,
                  max_inflight_client: int = 256,
                  max_frame: int = protocol.DEFAULT_MAX_FRAME,
@@ -93,10 +93,8 @@ class ScenarioServer:
         self.max_inflight_client = int(max_inflight_client)
         self.max_frame = int(max_frame)
         self.tenants: Tuple[str, ...] = tuple(backend.tenants)
-        self.coalescer = Coalescer(
-            self._backend_answer,
-            max_batch=max_batch, max_delay=max_delay,
-        )
+        self.coalescer = Coalescer(self._backend_answer,
+                                   max_batch=max_batch)
         self._server: Optional[asyncio.base_events.Server] = None
         self._connections: Set[_Connection] = set()
         self._finish_tasks: Set["asyncio.Task[None]"] = set()

@@ -1,11 +1,12 @@
 """Tests for the scenario service (repro.service).
 
 Covers the framed protocol (version handshake, frame limits, typed
-error replies), the coalescer contract (two clients' concurrent
-queries on one fault set ride one wave, pinned via CacheInfo and the
-``coalesced`` provenance), admission-control backpressure, ticket
-isolation (one client's malformed stream cannot poison batch-mates),
-disconnect resilience, graceful drain, and epoch pushes.
+error replies), the coalescer contract (two clients' queries on one
+fault set, sent while another request is in flight, ride one wave,
+pinned via CacheInfo and the ``coalesced`` provenance),
+admission-control backpressure, ticket isolation (one client's
+malformed stream cannot poison batch-mates), disconnect resilience,
+graceful drain, and epoch pushes.
 """
 
 import socket
@@ -30,22 +31,37 @@ class _SlowSession(Session):
         return super().answer(queries, *args, **kwargs)
 
 
+class _GatedSession(Session):
+    """A backend whose answers can be held: while ``gate`` is clear,
+    each answer sets ``entered`` and waits for the gate to open."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.entered = threading.Event()
+        self.gate = threading.Event()
+        self.gate.set()
+
+    def answer(self, queries, *args, **kwargs):
+        self.entered.set()
+        if not self.gate.wait(30):
+            raise TimeoutError("the test never opened the gate")
+        return super().answer(queries, *args, **kwargs)
+
+
 def _wave_calls(info):
     return sum(count for _, count in info.wave_backends)
 
 
 @pytest.fixture()
 def served(er_medium):
-    """A coalescing server over one shared delta-free session.
+    """A coalescing server over one shared delta-free, gated session.
 
     ``delta=False`` so vector queries are served by waves and the
-    wave-count assertions are exact; ``max_batch=2`` with a generous
-    deadline so two concurrent single-query requests flush the moment
-    both arrive (the deadline is only the straggler backstop).
+    wave-count assertions are exact.  The gate stays open unless a
+    test holds a request in the backend (:class:`_HeldRequest`).
     """
-    backend = Session(er_medium, delta=False)
-    with BackgroundServer(backend, max_batch=2,
-                          max_delay=0.25) as server:
+    backend = _GatedSession(er_medium, delta=False)
+    with BackgroundServer(backend) as server:
         yield server, backend
 
 
@@ -53,29 +69,57 @@ def _connect(server, **kwargs):
     return ServiceClient(*server.address, **kwargs)
 
 
-def _concurrently(*calls):
-    """Run one-call-per-thread behind a shared start barrier,
-    re-raising the first failure; returns results in call order."""
-    barrier = threading.Barrier(len(calls))
-    results = [None] * len(calls)
-    errors = []
+class _HeldRequest:
+    """A third client's request held in the backend.
 
-    def run(i, call):
-        try:
-            barrier.wait()
-            results[i] = call()
-        except BaseException as exc:  # noqa: BLE001 — re-raised below
-            errors.append(exc)
+    The coalescer flushes a request the moment it finds no batch in
+    flight, so two clients share a batch only when both arrive while
+    another batch runs.  This holds one: a fault-free pair, which the
+    touch filter answers without a wave, from its own client, waiting
+    at the gated backend.
+    """
 
-    threads = [threading.Thread(target=run, args=(i, call))
-               for i, call in enumerate(calls)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
-    if errors:
-        raise errors[0]
-    return results
+    def __init__(self, server):
+        self._server = server
+        self._backend = server.server.backend
+        self._backend.entered.clear()
+        self._backend.gate.clear()
+        self._client = _connect(server, client="holder")
+        self._thread = threading.Thread(
+            target=self._client.answer, args=([DistanceQuery(0, 1)],))
+        self._thread.start()
+        assert self._backend.entered.wait(30)
+
+    def release_after(self, *calls):
+        """Run one call per thread; once the server has admitted all
+        their requests (each sends one query), release the held one,
+        so they flush together as one batch.  Returns results in call
+        order, re-raising the first failure."""
+        results = [None] * len(calls)
+        errors = []
+
+        def run(i, call):
+            try:
+                results[i] = call()
+            except BaseException as exc:  # noqa: BLE001 — re-raised
+                errors.append(exc)
+
+        threads = [threading.Thread(target=run, args=(i, call))
+                   for i, call in enumerate(calls)]
+        for t in threads:
+            t.start()
+        deadline = time.monotonic() + 30
+        while self._server.server.counters()["inflight"] <= len(calls):
+            assert time.monotonic() < deadline, "requests not admitted"
+            time.sleep(0.001)
+        self._backend.gate.set()
+        for t in threads + [self._thread]:
+            t.join(30)
+            assert not t.is_alive()
+        self._client.close()
+        if errors:
+            raise errors[0]
+        return results
 
 
 class TestProtocol:
@@ -189,7 +233,7 @@ class TestCoalescing:
         waves_before = _wave_calls(backend.cache_info())
         with _connect(server, client="a") as a, \
                 _connect(server, client="b") as b:
-            got_a, got_b = _concurrently(
+            got_a, got_b = _HeldRequest(server).release_after(
                 lambda: a.answer([VectorQuery(0, (e,))]),
                 lambda: b.answer([VectorQuery(1, (e,))]),
             )
@@ -202,7 +246,7 @@ class TestCoalescing:
             assert answer.provenance.wave_size == 2
             assert answer.provenance.coalesced == 2
         counters = server.server.counters()
-        assert counters["batches"] == 1
+        assert counters["batches"] == 2  # the held request's, then one
         assert counters["coalesced_queries"] == 2
         # and the answers are the session's answers
         reference = Session(er_medium, delta=False)
@@ -226,9 +270,12 @@ class TestCoalescing:
                     bad.answer([DistanceQuery(0, 10 ** 6, (e,))])
                 return "raised"
 
-            got, raised = _concurrently(innocent, guilty)
+            got, raised = _HeldRequest(server).release_after(
+                innocent, guilty)
         assert raised == "raised"
         assert got[0].value is not None  # innocent answer survived
+        # ...a merged batch's: the held request's, then the two
+        assert server.server.counters()["batches"] == 2
 
 
 class TestTracing:
@@ -244,12 +291,13 @@ class TestTracing:
         root trace, the shared wave appears exactly once, parented to
         one of them and cross-linking the other via its ``traces``
         attribute."""
-        obs.enable()
         server, _ = served
         e = next(iter(er_medium.edges()))
+        held = _HeldRequest(server)  # sent untraced: recording is off
+        obs.enable()
         with _connect(server, client="a") as a, \
                 _connect(server, client="b") as b:
-            _concurrently(
+            held.release_after(
                 lambda: a.answer([VectorQuery(0, (e,))]),
                 lambda: b.answer([VectorQuery(1, (e,))]),
             )
@@ -331,6 +379,9 @@ class TestAdmissionControl:
                 # on the same connection is served normally
                 answers = client.answer([DistanceQuery(0, 1)])
                 assert len(answers) == 1
+            # the server books a request out of flight only after
+            # writing its reply; draining waits for that
+            server.drain(timeout=30)
             counters = server.server.counters()
         assert counters["rejected"] == 1
         assert counters["inflight"] == 0
