@@ -29,10 +29,12 @@ single gate for the optional numpy dependency across the package.
 
 from repro.backends.api import (
     KERNEL_NAMES,
+    HopRow,
     KernelBackend,
     UNREACHABLE,
     check_source,
     numpy_or_none,
+    row_eccentricity,
 )
 from repro.backends.dispatch import (
     backend_for,
@@ -48,6 +50,7 @@ from repro.backends.dispatch import (
 
 __all__ = [
     "KERNEL_NAMES",
+    "HopRow",
     "KernelBackend",
     "UNREACHABLE",
     "backend_for",
@@ -58,6 +61,7 @@ __all__ = [
     "kernel_impl",
     "numpy_or_none",
     "reset_thresholds",
+    "row_eccentricity",
     "set_backend",
     "set_thresholds",
     "thresholds",

@@ -33,8 +33,10 @@ fallback tests simulate an uninstalled numpy in-process.
 from __future__ import annotations
 
 import os
+from array import array
 from typing import (
-    Any, Dict, Iterable, List, Optional, Protocol, Tuple,
+    Any, Dict, Iterable, List, Optional, Protocol, Sequence, Tuple,
+    TypeAlias,
 )
 
 from repro.exceptions import GraphError
@@ -42,10 +44,12 @@ from repro.graphs.csr import CSRGraph
 
 __all__ = [
     "UNREACHABLE",
+    "HopRow",
     "KERNEL_NAMES",
     "KernelBackend",
     "check_source",
     "numpy_or_none",
+    "row_eccentricity",
 ]
 
 #: Sentinel distance for unreachable vertices — must match
@@ -53,6 +57,12 @@ __all__ = [
 #: duplicated here because backends sit *below* ``spt`` in the layer
 #: DAG and cannot import upward at module level).
 UNREACHABLE = -1
+
+#: A dense hop-distance row: ``array('i')``, 4 bytes a slot, as every
+#: hop kernel returns it (weighted rows stay Python lists, whose ints
+#: are unbounded).  A string, because ``array`` is not subscriptable
+#: at runtime.
+HopRow: TypeAlias = "array[int]"
 
 #: Every kernel a backend must serve, i.e. the attribute surface of
 #: :class:`KernelBackend`.  The dispatcher uses these names to resolve
@@ -105,6 +115,34 @@ def _import_numpy() -> Optional[Any]:
     return _NUMPY_PROBE[0]
 
 
+#: ``UNREACHABLE`` in a hop row's slot read as an unsigned C int.
+_CUT_OFF = (1 << 8 * array("i").itemsize) - 1
+
+
+def row_eccentricity(row: Sequence[int]) -> int:
+    """``UNREACHABLE`` if ``row`` holds it, else its largest entry.
+
+    The one reduction behind eccentricity and connectivity answers
+    (connected iff the result is not ``UNREACHABLE``).  A hop row is
+    reduced in C by numpy, in one pass: hop rows hold depths ``>= 0``
+    or ``UNREACHABLE``, and read as unsigned C ints (``np.uintc``, the
+    item size of typecode ``'i'``) the ``UNREACHABLE`` slots become
+    the largest value, so a single ``maximum.reduce`` finds both the
+    cut-off and the eccentricity.  The reduction uses numpy only once
+    the process has loaded it (any vectorized kernel does): like the
+    dispatcher's small calls, it never pays numpy's import itself.
+    Any other row (a weighted list, or any row before numpy is
+    loaded or without it) takes the Python scan.  Returns a Python
+    ``int`` either way, so answers pickle exactly as before.  ``row``
+    must be non-empty.
+    """
+    np = numpy_or_none() if _NUMPY_PROBE else None
+    if np is not None and isinstance(row, array) and row.typecode == "i":
+        top = int(np.maximum.reduce(np.frombuffer(row, dtype=np.uintc)))
+        return UNREACHABLE if top == _CUT_OFF else top
+    return UNREACHABLE if UNREACHABLE in row else max(row)
+
+
 class KernelBackend(Protocol):
     """Structural type of a kernel backend.
 
@@ -120,12 +158,15 @@ class KernelBackend(Protocol):
     * ``sources`` / ``orphans`` arrive as concrete lists (the public
       wrappers materialise iterables once, to measure the batch width
       for dispatch).
+
+    Hop kernels return every dense row as a :data:`HopRow`
+    (``array('i')``); weighted kernels return lists.
     """
 
     name: str
 
     def csr_bfs_distances(self, csr: CSRGraph, mask: Optional[bytearray],
-                          source: int) -> List[int]:
+                          source: int) -> HopRow:
         ...
 
     def csr_weighted_distances(self, csr: CSRGraph,
@@ -141,7 +182,7 @@ class KernelBackend(Protocol):
 
     def csr_bfs_distances_many(self, csr: CSRGraph,
                                mask: Optional[bytearray],
-                               sources: Iterable[int]) -> List[List[int]]:
+                               sources: Iterable[int]) -> List[HopRow]:
         ...
 
     def csr_weighted_distances_many(self, csr: CSRGraph,
@@ -158,8 +199,8 @@ class KernelBackend(Protocol):
         ...
 
     def csr_bfs_repair(self, csr: CSRGraph, mask: Optional[bytearray],
-                       base: List[int], orphans: Iterable[int]
-                       ) -> Tuple[List[int], List[int]]:
+                       base: Sequence[int], orphans: Iterable[int]
+                       ) -> Tuple[HopRow, List[int]]:
         ...
 
     def csr_dijkstra_repair(self, csr: CSRGraph, mask: Optional[bytearray],

@@ -51,15 +51,20 @@ internal unreached sentinel; the dispatcher never routes a snapshot
 here whose weights could overflow that headroom (see
 ``repro.backends.dispatch``), and a forced route raises
 :class:`~repro.exceptions.BackendError` instead of silently wrapping.
-Outputs are converted with ``.tolist()``, so callers receive plain
-Python ints, exactly like the loops.
+Hop rows leave as ``array('i')`` built straight from the ``np.intc``
+buffer (:func:`_hop_row`), the loops' row type; weighted outputs are
+converted with ``.tolist()``.  Indexing either yields plain Python
+ints, exactly like the loops.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, List, Optional, Tuple
+from array import array
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
-from repro.backends.api import UNREACHABLE, check_source, numpy_or_none
+from repro.backends.api import (
+    UNREACHABLE, HopRow, check_source, numpy_or_none,
+)
 from repro.exceptions import BackendError, GraphError
 from repro.graphs.csr import CSRGraph
 
@@ -123,6 +128,15 @@ def weighted_safe(csr: CSRGraph) -> bool:
             and nd.max_weight <= (_INF - 1) // max(csr.n, 1))
 
 
+def _hop_row(dist: Any) -> HopRow:
+    """An ``array('i')`` copy of a 1-D ``np.intc`` distance row.
+
+    ``np.intc`` is C ``int``, the same item as typecode ``'i'``, so
+    the bytes copy across unchanged.
+    """
+    return array("i", dist.tobytes())
+
+
 def _lift_mask(np: Any, mask: Optional[bytearray]) -> Any:
     """The arc mask as a boolean array (one lift per kernel call)."""
     if mask is None:
@@ -148,14 +162,14 @@ def _arc_ids(np: Any, indptr: Any, rows: Any) -> Any:
 
 
 def csr_bfs_distances(csr: CSRGraph, mask: Optional[bytearray],
-                      source: int) -> List[int]:
+                      source: int) -> HopRow:
     """Vectorised sibling of ``fastpaths.csr_bfs_distances``."""
     np = _require_numpy()
     check_source(csr, source)
     nd = _mirror(np, csr)
     indptr, indices = nd.indptr, nd.indices
     ok = _lift_mask(np, mask)
-    dist = np.full(csr.n, UNREACHABLE, dtype=np.int64)
+    dist = np.full(csr.n, UNREACHABLE, dtype=np.intc)
     dist[source] = 0
     frontier = np.array([source], dtype=np.int64)
     flatnonzero = np.flatnonzero
@@ -172,7 +186,7 @@ def csr_bfs_distances(csr: CSRGraph, mask: Optional[bytearray],
         newly &= dist < 0
         dist[newly] = depth
         frontier = flatnonzero(newly)
-    return dist.tolist()
+    return _hop_row(dist)
 
 
 def _weighted_dist(np: Any, indptr: Any, indices: Any, tails: Any,
@@ -276,7 +290,7 @@ def csr_dijkstra_flat(csr: CSRGraph, mask: Optional[bytearray],
 
 
 def csr_bfs_distances_many(csr: CSRGraph, mask: Optional[bytearray],
-                           sources: Iterable[int]) -> List[List[int]]:
+                           sources: Iterable[int]) -> List[HopRow]:
     """Vectorised sibling of ``batched.csr_bfs_distances_many``.
 
     The bit-packed wave as word-major ``(W, n)`` uint64 frontier and
@@ -297,8 +311,9 @@ def csr_bfs_distances_many(csr: CSRGraph, mask: Optional[bytearray],
     Depths are bit-sliced: plane ``b`` holds bit ``b`` of ``depth + 1``
     for every discovered (source, vertex) bit, so a level ORs its
     fresh bits into one plane per set bit of ``depth + 1``.  The
-    planes are decoded once, after the last level, into the ``(S, n)``
-    output; an undiscovered entry decodes to ``0 - 1 = UNREACHABLE``.
+    planes are decoded once, after the last level, into an ``(S, n)``
+    ``np.intc`` matrix whose rows become the ``array('i')`` outputs; an
+    undiscovered entry decodes to ``0 - 1 = UNREACHABLE``.
     """
     np = _require_numpy()
     src_list = list(sources)
@@ -356,11 +371,13 @@ def csr_bfs_distances_many(csr: CSRGraph, mask: Optional[bytearray],
         for b, plane in enumerate(planes):
             if code >> b & 1:
                 plane |= frontier
-    return _decode_depths(np, planes, lanes).tolist()
+    hop_row = _hop_row
+    return [hop_row(row) for row in _decode_depths(np, planes, lanes)]
 
 
 def _decode_depths(np: Any, planes: List[Any], lanes: Any) -> Any:
-    """``(S, n)`` int32 distances from bit-sliced ``depth + 1`` planes.
+    """``(S, n)`` ``np.intc`` distances from bit-sliced ``depth + 1``
+    planes.
 
     Lane ``j`` reads bit ``j & 7`` of byte ``(j & 63) >> 3`` of word
     row ``j >> 6`` (little-endian words, so the byte order is fixed on
@@ -377,7 +394,7 @@ def _decode_depths(np: Any, planes: List[Any], lanes: Any) -> Any:
         bits >>= shift
         bits &= 1
         code |= bits.astype(code.dtype, copy=False) << code.dtype.type(b)
-    dist = code.astype(np.int32)
+    dist = code.astype(np.intc)
     dist -= 1  # an undiscovered entry (code 0) becomes UNREACHABLE
     return dist
 
@@ -451,9 +468,9 @@ def csr_dijkstra_flat_many(csr: CSRGraph, mask: Optional[bytearray],
 
 
 def _repair_region(np: Any, csr: CSRGraph, nd: Any,
-                   mask: Optional[bytearray], base: List[int],
+                   mask: Optional[bytearray], base: Sequence[int],
                    orph: List[int], weights: Any
-                   ) -> Tuple[List[int], List[int]]:
+                   ) -> Tuple[Any, List[int]]:
     """Shared repair body; ``weights is None`` means hop (+1) repair.
 
     The orphaned region is compacted to ``0..k-1``; every surviving
@@ -463,7 +480,8 @@ def _repair_region(np: Any, csr: CSRGraph, nd: Any,
     the arc ``(v, u)``, the seed needs ``w(u, v)`` — so antisymmetric
     snapshots repair exactly), then label-correcting rounds run
     entirely inside the ``k``-vector.  The fixpoint equals the loops'
-    bucketed/heap settle, so ``patched`` is bit-identical.
+    bucketed/heap settle, so ``patched`` is bit-identical.  It comes
+    back as an int64 ndarray; each caller renders its own row type.
     """
     indptr, indices, tails = nd.indptr, nd.indices, nd.tails
     ok = _lift_mask(np, mask)
@@ -507,19 +525,20 @@ def _repair_region(np: Any, csr: CSRGraph, nd: Any,
         active = unique(p2)
     patched[orph_arr] = np.where(prop < _INF, prop, UNREACHABLE)
     changed = orph_arr[patched[orph_arr] != base_arr[orph_arr]].tolist()
-    return patched.tolist(), changed
+    return patched, changed
 
 
 def csr_bfs_repair(csr: CSRGraph, mask: Optional[bytearray],
-                   base: List[int], orphans: Iterable[int]
-                   ) -> Tuple[List[int], List[int]]:
+                   base: Sequence[int], orphans: Iterable[int]
+                   ) -> Tuple[HopRow, List[int]]:
     """Vectorised sibling of ``incremental.repair.csr_bfs_repair``."""
     np = _require_numpy()
     orph = sorted(set(orphans))
     if not orph:
-        return list(base), []
+        return array("i", base), []
     nd = _mirror(np, csr)
-    return _repair_region(np, csr, nd, mask, base, orph, None)
+    patched, changed = _repair_region(np, csr, nd, mask, base, orph, None)
+    return _hop_row(patched.astype(np.intc)), changed
 
 
 def csr_dijkstra_repair(csr: CSRGraph, mask: Optional[bytearray],
@@ -532,7 +551,9 @@ def csr_dijkstra_repair(csr: CSRGraph, mask: Optional[bytearray],
     orph = sorted(set(orphans))
     if not orph:
         return list(base), []
-    return _repair_region(np, csr, nd, mask, base, orph, weights)
+    patched, changed = _repair_region(np, csr, nd, mask, base, orph,
+                                      weights)
+    return patched.tolist(), changed
 
 
 class VectorizedBackend:

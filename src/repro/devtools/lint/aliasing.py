@@ -1,11 +1,12 @@
 """Cache-aliasing rules (CA3xx): engine-returned vectors are read-only.
 
 The scenario engine's ``peek_vector`` / ``source_vectors`` /
-``try_delta`` / ``base_distances`` family may return the *same list
+``try_delta`` / ``base_distances`` family may return the *same row
 object* that sits in the shared LRU (and, under the delta strategy,
-the base vector every future patch starts from).  Mutating one in
-place corrupts every later query that hits the cache.  The contract:
-copy before writing (``list(vec)``, ``vec.copy()``, ``vec[:]``).
+the base vector every future patch starts from) — an ``array('i')``
+hop row or a weighted list.  Mutating one in place corrupts every
+later query that hits the cache.  The contract: copy before writing
+(``vec[:]`` copies either row type; ``list(vec)`` makes a list).
 
 The checker runs a simple forward taint pass per scope: names bound
 from a getter (directly, via aliasing, or by indexing/iterating a
@@ -119,7 +120,7 @@ def _scan_mutations(stmt: ast.stmt, taint: Taint
     def msg(name: str, origin: str, what: str) -> str:
         return (f"{what} mutates '{name}', which may alias a cached vector "
                 f"returned by {origin}(); copy it first "
-                f"(e.g. list({name}) or {name}.copy())")
+                f"(e.g. {name}[:])")
 
     if isinstance(stmt, ast.Assign):
         for target in stmt.targets:

@@ -141,7 +141,9 @@ CACHE_GETTERS: Tuple[str, ...] = (
 COPY_CALLS: Tuple[str, ...] = ("list", "sorted", "tuple", "dict", "set", "frozenset")
 COPY_METHODS: Tuple[str, ...] = ("copy", "deepcopy")
 
-# Methods that mutate their receiver in place.
+# Methods that mutate their receiver in place: a list's, plus those
+# only an ``array`` row has.
 MUTATING_METHODS: Tuple[str, ...] = (
     "sort", "reverse", "append", "extend", "insert", "remove", "pop", "clear",
+    "byteswap", "frombytes", "fromfile", "fromlist", "fromunicode",
 )

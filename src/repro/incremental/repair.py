@@ -4,8 +4,10 @@ Both kernels take the base distance vector of a source, the orphaned
 vertex set of a fault set ``F`` (see
 :func:`repro.incremental.affected.affected_region`), and the engine's
 arc mask with ``F`` zeroed — and return a **patched** dense distance
-vector plus the vertices whose distance actually changed.  The
-contract, enforced by the hypothesis cross-checks in
+vector plus the vertices whose distance actually changed.  The hop
+kernel's patched row is an ``array('i')``, like every hop row; the
+weighted kernel's is a list.  The contract, enforced by the
+hypothesis cross-checks in
 ``tests/test_incremental.py``, is bit-identical output to running the
 full masked kernel (:func:`~repro.spt.fastpaths.csr_bfs_distances` /
 :func:`~repro.spt.fastpaths.csr_weighted_distances`) from scratch:
@@ -37,8 +39,10 @@ exactly, not just symmetric edge weights.
 from __future__ import annotations
 
 import heapq
-from typing import Dict, Iterable, List, Optional, Tuple
+from array import array
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
+from repro.backends.api import HopRow
 from repro.backends.dispatch import kernel_impl
 from repro.graphs.csr import CSRGraph
 from repro.spt.fastpaths import UNREACHABLE, flat_weights
@@ -47,11 +51,11 @@ __all__ = ["csr_bfs_repair", "csr_dijkstra_repair"]
 
 
 def csr_bfs_repair(csr: CSRGraph, mask: Optional[bytearray],
-                   base: List[int], orphans: Iterable[int]
-                   ) -> Tuple[List[int], List[int]]:
+                   base: Sequence[int], orphans: Iterable[int]
+                   ) -> Tuple[HopRow, List[int]]:
     """Patch hop distances for ``orphans``; ``(patched, changed)``.
 
-    ``patched`` is bit-identical to
+    ``patched`` is a fresh ``array('i')`` row, bit-identical to
     ``csr_bfs_distances(csr, mask, source)`` for the source ``base``
     was computed from; ``changed`` lists (sorted) the orphans whose
     distance differs from the base — orphans with an equally short
@@ -67,12 +71,16 @@ def csr_bfs_repair(csr: CSRGraph, mask: Optional[bytearray],
 
 
 def csr_bfs_repair_loops(csr: CSRGraph, mask: Optional[bytearray],
-                         base: List[int], orphans: Iterable[int]
-                         ) -> Tuple[List[int], List[int]]:
-    """The bucketed loop implementation (the ``pyloops`` backend)."""
+                         base: Sequence[int], orphans: Iterable[int]
+                         ) -> Tuple[HopRow, List[int]]:
+    """The bucketed loop implementation (the ``pyloops`` backend).
+
+    Patches an ``array('i')`` copy of ``base`` in place: copying an
+    array row is a memcpy, and the loop writes only the orphans.
+    """
     indptr, indices = csr.indptr, csr.indices
     aff = set(orphans)
-    patched = list(base)
+    patched = array("i", base)
     unreachable = UNREACHABLE
     for v in aff:
         patched[v] = unreachable

@@ -38,7 +38,6 @@ other layer may instrument through it at module level.
 
 from __future__ import annotations
 
-import time
 from collections import deque
 from contextlib import contextmanager
 from typing import (IO, Any, Deque, Dict, Iterable, Iterator, List,
@@ -49,7 +48,7 @@ from repro.obs.metrics import (Counter, Gauge, Histogram,
                                MetricsRegistry, SIZE_BUCKETS,
                                TIME_BUCKETS)
 from repro.obs.trace import (Span, TraceContext, current_context,
-                             new_id, reset_current, set_current)
+                             new_id, now, reset_current, set_current)
 
 __all__ = [
     "Counter", "ENABLED", "Gauge", "Histogram", "MetricsRegistry",
@@ -157,7 +156,7 @@ def finish_span(span_obj: Span) -> None:
     if span_obj._ended:
         return
     span_obj._ended = True
-    _spans.append(span_obj.to_record(time.time()))
+    _spans.append(span_obj.to_record(now()))
 
 
 def emit_span(name: str, seconds: float,
@@ -172,9 +171,10 @@ def emit_span(name: str, seconds: float,
     if not ENABLED:
         return
     span_obj = start_span(name, parent=parent, **attrs)
-    span_obj.start = time.time() - seconds
+    end = now()
+    span_obj.start = end - seconds
     span_obj._ended = True
-    _spans.append(span_obj.to_record(time.time()))
+    _spans.append(span_obj.to_record(end))
 
 
 @contextmanager

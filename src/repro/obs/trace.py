@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from typing import Any, Dict, Mapping, Optional
 
 __all__ = ["Span", "TraceContext", "current_context", "new_id",
-           "reset_current", "set_current"]
+           "now", "reset_current", "set_current"]
 
 # Ids only need to be unique, not unpredictable: one urandom syscall
 # seeds a PRNG at import so per-span id generation stays nanoseconds
@@ -36,6 +36,20 @@ if hasattr(os, "register_at_fork"):  # fork-started fleet workers must
     # not replay the parent's id stream — reseed each child.
     os.register_at_fork(
         after_in_child=lambda: _ids.seed(os.urandom(16)))
+
+
+# One (wall, monotonic) anchor per process.  Span stamps read the
+# monotonic clock against it, so a stepped wall clock can neither
+# shorten nor stretch a duration, while records keep epoch seconds
+# that line up across the fleet's processes.  Forked workers inherit
+# the anchor, which stays valid: the monotonic clock is system-wide.
+_ANCHOR_WALL = time.time()
+_ANCHOR_PERF = time.perf_counter()
+
+
+def now() -> float:
+    """Epoch seconds for a span stamp, advanced by the monotonic clock."""
+    return _ANCHOR_WALL + (time.perf_counter() - _ANCHOR_PERF)
 
 
 def new_id() -> str:
@@ -108,7 +122,7 @@ class Span:
         self.trace_id = parent.trace_id if parent else new_id()
         self.span_id = new_id()
         self.parent_id = parent.span_id if parent else None
-        self.start = time.time()
+        self.start = now()
         self.attrs: Dict[str, Any] = dict(attrs) if attrs else {}
         self._ended = False
 

@@ -42,7 +42,7 @@ validation and dictionary plumbing out of the loop.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.exceptions import GraphError
 from repro.graphs.base import Edge, Graph, canonical_edge
@@ -100,9 +100,9 @@ class SourcewiseDSO:
 
         # per source: fault-free distances, tree-path edge sets,
         # and replacement rows per tree edge
-        self._base_dist: Dict[int, List[int]] = {}
+        self._base_dist: Dict[int, Sequence[int]] = {}
         self._path_edges: Dict[int, Dict[int, frozenset]] = {}
-        self._rows: Dict[Tuple[int, Edge], List[int]] = {}
+        self._rows: Dict[Tuple[int, Edge], Sequence[int]] = {}
         self._preprocessed_edges = 0
         self._substrate_edges = 0
         self._row_provenance: Dict[str, int] = {}

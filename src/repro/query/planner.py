@@ -39,9 +39,10 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro import obs as _obs
+from repro.backends.api import row_eccentricity
 from repro.exceptions import QueryError
 from repro.query.queries import (
     Answer,
@@ -370,7 +371,7 @@ class Planner:
         # the base vectors instead of traversed (the vector lands in
         # the LRU either way); what the patch cannot serve stays in
         # the wave.
-        rows: Dict[int, List[int]] = {}
+        rows: Dict[int, Sequence[int]] = {}
         delta_rows: Dict[int, Optional[str]] = {}
         if wave and fault_key and engine.delta_enabled:
             batch_hint = len(wave)
@@ -435,17 +436,19 @@ class Planner:
             if rows:
                 origin, vec = next(iter(rows.items()))
                 answers[i] = Answer(
-                    q, UNREACHABLE not in vec,
+                    q, row_eccentricity(vec) != UNREACHABLE,
                     delta_of.get(origin, wave_of),
                 )
             else:
-                answers[i] = Answer(q, UNREACHABLE not in conn_vector,
-                                    Provenance("cache", "vector-cache"))
+                answers[i] = Answer(
+                    q, row_eccentricity(conn_vector) != UNREACHABLE,
+                    Provenance("cache", "vector-cache"),
+                )
 
     @staticmethod
-    def _vector_value(query: Query, vec: List[int]):
+    def _vector_value(query: Query, vec: Sequence[int]):
         if isinstance(query, EccentricityQuery):
-            return UNREACHABLE if UNREACHABLE in vec else max(vec)
+            return row_eccentricity(vec)
         return vec
 
     def _check_restoration_scheme(self, scheme) -> None:

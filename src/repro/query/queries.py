@@ -118,8 +118,10 @@ class PairQuery(Query):
 @dataclass(frozen=True)
 class VectorQuery(Query):
     """The full distance vector from ``source`` in ``G \\ F`` — answer
-    value is a dense **read-only** list (shared with the engine's
-    caches; do not mutate), ``UNREACHABLE`` (-1) where cut off."""
+    value is a dense **read-only** row (shared with the engine's
+    caches; do not mutate), ``UNREACHABLE`` (-1) where cut off: an
+    ``array('i')`` of hop distances (indexing yields ints; compare
+    with ``list(value)``), or a list of ints on a weighted engine."""
 
     source: int
     faults: FaultSet = ()

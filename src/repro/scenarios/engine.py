@@ -86,7 +86,9 @@ from collections import OrderedDict
 from contextlib import contextmanager
 from dataclasses import dataclass, fields
 from time import perf_counter
-from typing import Any, Callable, Dict, Iterable, List, Optional, Set, Tuple
+from typing import (
+    Any, Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple,
+)
 
 from repro import obs as _obs
 from repro.backends.dispatch import backend_for
@@ -415,12 +417,14 @@ class ScenarioEngine:
         ``(s, t, canonical fault tuple)`` and per-source
         distance-vector entries keyed ``(source, canonical fault
         tuple)``.  ``0`` disables both.  The bound counts *entries*:
-        a pair entry is one int but a vector entry is an O(n) list,
-        so the worst-case footprint is ``memoize * n`` words — size
-        ``memoize`` down on memory-constrained deployments with
-        vector-heavy streams.  (Vectors handed to long-lived
-        consumers, e.g. DSO preprocessing rows, are aliased — the
-        cache holds a reference to the same list, not a copy.)
+        a pair entry is one int but a vector entry is a dense O(n)
+        row — ``4n`` bytes for a hop row (``array('i')``), about
+        ``8n`` for a weighted row (a list of ints) — so the
+        worst-case footprint is ``memoize`` rows; size ``memoize``
+        down on memory-constrained deployments with vector-heavy
+        streams.  (Vectors handed to long-lived consumers, e.g. DSO
+        preprocessing rows, are aliased — the cache holds a
+        reference to the same row object, not a copy.)
     delta:
         Enable the incremental-delta strategy (:meth:`try_delta`,
         default True): per-source base SPT indices are built lazily
@@ -455,7 +459,7 @@ class ScenarioEngine:
                 for i, j in self.csr._arc_pos.values()
             ) if self.weighted else True
         )
-        self._base_dist: Dict[int, List[int]] = {}
+        self._base_dist: Dict[int, Sequence[int]] = {}
         self._tree_index: Dict[int, TreeFaultIndex] = {}
         # Scenario memo: one bounded LRU (one eviction policy) holding
         # two entry kinds — pair replacement distances keyed
@@ -557,13 +561,13 @@ class ScenarioEngine:
     # ------------------------------------------------------------------
     # amortised base state
     # ------------------------------------------------------------------
-    def base_distances(self, source: int) -> List[int]:
+    def base_distances(self, source: int) -> Sequence[int]:
         """Fault-free distances from ``source`` (computed once).
 
-        Hop distances via array BFS on an unweighted engine, exact
-        weighted distances via the flat Dijkstra kernel on a weighted
-        one; either way a dense vector with ``UNREACHABLE`` (-1) where
-        cut off.
+        Hop distances via array BFS on an unweighted engine (an
+        ``array('i')`` row), exact weighted distances via the flat
+        Dijkstra kernel on a weighted one (a list); either way a dense
+        vector with ``UNREACHABLE`` (-1) where cut off.
         """
         cached = self._base_dist.get(source)
         if cached is None:
@@ -697,7 +701,7 @@ class ScenarioEngine:
         self._delta_index[source] = TreeFaultIndex(tree)
 
     def try_delta(self, source: int, faults: Iterable[Edge],
-                  batch_hint: int = 1) -> Optional[List[int]]:
+                  batch_hint: int = 1) -> Optional[Sequence[int]]:
         """The delta-patched ``(source, F)`` vector, or ``None``.
 
         Part of the planner protocol.  Reads the orphaned-region size
@@ -852,7 +856,7 @@ class ScenarioEngine:
         return cached
 
     def peek_vector(self, source: int,
-                    faults: Iterable[Edge]) -> Optional[List[int]]:
+                    faults: Iterable[Edge]) -> Optional[Sequence[int]]:
         """The cached (read-only) ``(source, F)`` vector, or ``None``.
 
         A hit is counted; a miss is silent — like the vector peek
@@ -876,7 +880,7 @@ class ScenarioEngine:
         return cached
 
     def peek_any_vector(self, faults: Iterable[Edge]
-                        ) -> Optional[List[int]]:
+                        ) -> Optional[Sequence[int]]:
         """*Any* cached vector under this fault set, or ``None``.
 
         For source-agnostic questions (connectivity of ``G \\ F``):
@@ -1000,7 +1004,7 @@ class ScenarioEngine:
         return backend_for(kernel, self.csr, batch=width).name
 
     def _wave(self, mask: Optional[bytearray],
-              sources: List[int]) -> List[List[int]]:
+              sources: List[int]) -> List[Sequence[int]]:
         """One batched multi-source wave through the backend seam.
 
         Resolves the batched kernel for this engine (weighted or hop)
@@ -1017,7 +1021,7 @@ class ScenarioEngine:
         # disabled (the obs overhead contract), one histogram/counter/
         # span record per *wave* — never per arc — when enabled.
         t0 = perf_counter() if _obs.ENABLED else 0.0
-        rows: List[List[int]] = getattr(backend, kernel)(
+        rows: List[Sequence[int]] = getattr(backend, kernel)(
             self.csr, mask, sources)
         if _obs.ENABLED:
             dt = perf_counter() - t0
@@ -1043,7 +1047,7 @@ class ScenarioEngine:
 
     def source_vectors(self, sources: Iterable[int],
                        faults: Iterable[Edge] = (), *,
-                       try_delta: bool = True) -> List[List[int]]:
+                       try_delta: bool = True) -> List[Sequence[int]]:
         """Distance vectors for many sources under *one* fault set.
 
         The many-source primitive: every source missing from the
@@ -1077,7 +1081,7 @@ class ScenarioEngine:
                 rows = self._wave(None, missing)
                 self._base_dist.update(zip(missing, rows))
             return [self.base_distances(s) for s in sources]
-        out: List[Optional[List[int]]] = [None] * len(sources)
+        out: List[Optional[Sequence[int]]] = [None] * len(sources)
         pending: Dict[int, List[int]] = {}
         memo_max = self._memo_max
         for i, s in enumerate(sources):
@@ -1125,7 +1129,7 @@ class ScenarioEngine:
         return out
 
     def source_vector(self, source: int,
-                      faults: Iterable[Edge] = ()) -> List[int]:
+                      faults: Iterable[Edge] = ()) -> Sequence[int]:
         """The cached (read-only) distance vector of one ``(s, F)``."""
         return self.source_vectors([source], faults)[0]
 

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, Iterable, List, Optional, Tuple
 
+from repro.backends.api import HopRow, row_eccentricity
 from repro.exceptions import GraphError
 from repro.graphs.csr import CSRGraph, as_csr
 from repro.spt.batched import csr_bfs_distances_many
@@ -53,8 +54,9 @@ def _csr_of(graph: Any) -> Optional[Tuple[CSRGraph, Optional[bytearray]]]:
     return None
 
 
-def _distance_rows(graph: Any, sources: List[int]) -> List[List[int]]:
-    """One hop-distance vector per source — batched when CSR-capable."""
+def _distance_rows(graph: Any, sources: List[int]) -> List[HopRow]:
+    """One ``array('i')`` hop-distance row per source — batched when
+    CSR-capable."""
     pair = _csr_of(graph)
     if pair is None:
         return [bfs_distances(graph, s) for s in sources]
@@ -63,7 +65,7 @@ def _distance_rows(graph: Any, sources: List[int]) -> List[List[int]]:
 
 def all_pairs_bfs_distances(graph: Any,
                             sources: Optional[Iterable[int]] = None
-                            ) -> Dict[int, List[int]]:
+                            ) -> Dict[int, HopRow]:
     """Hop-distance rows ``{s: [dist(s, v) for v]}`` for each source.
 
     ``sources`` defaults to all vertices (full APSP).  Repeated sources
@@ -85,24 +87,25 @@ def eccentricity(graph: Any, v: int) -> int:
     See the module docstring for the disconnected-graph contract
     (:func:`distance_matrix` returns ``-1`` entries instead).
     """
-    dist = bfs_distances(graph, v)
-    if UNREACHABLE in dist:
+    ecc = row_eccentricity(bfs_distances(graph, v))
+    if ecc == UNREACHABLE:
         raise GraphError(f"graph disconnected from vertex {v}")
-    return max(dist)
+    return ecc
 
 
 def eccentricities(graph: Any) -> List[int]:
     """Every vertex's eccentricity in one batched wave.
 
-    Raises :class:`GraphError` on a disconnected graph after a single
-    connectivity check (undirected: one row with an ``UNREACHABLE``
-    entry convicts the whole graph), instead of the n scans a
-    per-vertex :func:`eccentricity` loop would pay.
+    Each row is reduced once by
+    :func:`~repro.backends.api.row_eccentricity`, which also detects
+    disconnection: on a disconnected graph every row reduces to
+    ``UNREACHABLE`` and :class:`GraphError` is raised.
     """
-    rows = _distance_rows(graph, list(graph.vertices()))
-    if rows and UNREACHABLE in rows[0]:
+    eccs = [row_eccentricity(row)
+            for row in _distance_rows(graph, list(graph.vertices()))]
+    if UNREACHABLE in eccs:
         raise GraphError("graph is disconnected; eccentricity undefined")
-    return [max(row) for row in rows]
+    return eccs
 
 
 def diameter(graph: Any) -> int:
@@ -118,8 +121,9 @@ def diameter(graph: Any) -> int:
     return max(eccs, default=0)
 
 
-def distance_matrix(graph: Any) -> List[List[int]]:
-    """Dense ``n x n`` hop-distance matrix (``-1`` for unreachable).
+def distance_matrix(graph: Any) -> List[HopRow]:
+    """Dense ``n x n`` hop-distance matrix (``-1`` for unreachable),
+    one ``array('i')`` row per vertex.
 
     Unlike the max-valued helpers above, disconnection is *not* an
     error here: unreachable pairs are encoded as ``UNREACHABLE`` (-1),

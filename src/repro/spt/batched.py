@@ -36,9 +36,11 @@ vertices, duplicates).
 from __future__ import annotations
 
 import heapq
+from array import array
 from bisect import bisect_right
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
+from repro.backends.api import HopRow
 from repro.backends.dispatch import kernel_impl
 from repro.graphs.csr import CSRGraph
 from repro.spt.fastpaths import UNREACHABLE, _check_source, flat_weights
@@ -51,8 +53,9 @@ __all__ = [
 
 
 def csr_bfs_distances_many(csr: CSRGraph, mask: Optional[bytearray],
-                           sources: Iterable[int]) -> List[List[int]]:
-    """Hop-distance vectors for a batch of sources in one BFS wave.
+                           sources: Iterable[int]) -> List[HopRow]:
+    """Hop-distance rows (``array('i')``) for a batch of sources in one
+    BFS wave.
 
     Dispatching wrapper: the batch is materialised once (its width
     feeds the calibrated dispatch table) and served by whichever
@@ -137,12 +140,13 @@ def _blocked_rows(indptr: List[int],
 
 
 def csr_bfs_distances_many_loops(csr: CSRGraph, mask: Optional[bytearray],
-                                 sources: Iterable[int]) -> List[List[int]]:
+                                 sources: Iterable[int]) -> List[HopRow]:
     """The bit-packed loop implementation (the ``pyloops`` backend).
 
-    Returns one dense vector per source, aligned with the input order
-    (duplicates included), each bit-identical to
-    ``csr_bfs_distances(csr, mask, source)``.
+    Returns one dense ``array('i')`` row per source, aligned with the
+    input order (duplicates included), each bit-identical to
+    ``csr_bfs_distances(csr, mask, source)``.  Rows are built as lists
+    and converted once at return.
 
     The frontier of source ``j`` is bit ``j`` of a per-vertex Python
     int, so the level loop advances all sources at once: each arc
@@ -241,7 +245,7 @@ def csr_bfs_distances_many_loops(csr: CSRGraph, mask: Optional[bytearray],
                         low = fresh & -fresh
                         dists[low.bit_length() - 1][v] = depth
                         fresh ^= low
-    return dists
+    return [array("i", row) for row in dists]
 
 
 def csr_weighted_distances_many_loops(csr: CSRGraph,

@@ -9,9 +9,11 @@ f = 0 baseline throughout the benchmarks.
 
 from __future__ import annotations
 
+from array import array
 from collections import deque
 from typing import Any, Dict, List, Optional
 
+from repro.backends.api import HopRow
 from repro.exceptions import GraphError
 from repro.graphs.csr import as_csr
 from repro.spt import fastpaths
@@ -19,8 +21,11 @@ from repro.spt import fastpaths
 UNREACHABLE = -1
 
 
-def bfs_distances(graph: Any, source: int) -> List[int]:
-    """Hop distances from ``source``; ``UNREACHABLE`` (-1) where cut off."""
+def bfs_distances(graph: Any, source: int) -> HopRow:
+    """Hop distances from ``source``; ``UNREACHABLE`` (-1) where cut off.
+
+    An ``array('i')`` row on every path, like the CSR kernels'.
+    """
     csr = as_csr(graph)
     if csr is not None:
         return fastpaths.csr_bfs_distances(csr[0], csr[1], source)
@@ -35,7 +40,7 @@ def bfs_distances(graph: Any, source: int) -> List[int]:
             if dist[v] == UNREACHABLE:
                 dist[v] = dist[u] + 1
                 queue.append(v)
-    return dist
+    return array("i", dist)
 
 
 def bfs_tree(graph: Any, source: int) -> Dict[int, Optional[int]]:

@@ -29,6 +29,9 @@ Correctness contract, enforced by the randomized cross-check tests:
 All loops index plain Python lists of machine ints; the arc mask (a
 ``bytearray`` with one flag per directed arc) is consulted inline, so a
 fault scenario costs O(|F|) setup and zero per-arc canonicalisation.
+A dense hop-distance row leaves a kernel as an ``array('i')``
+(:data:`~repro.backends.api.HopRow`, 4 bytes a slot), converted once
+at return; dense weighted rows stay lists.
 
 Every kernel here is *single-source*.  The batched multi-source
 siblings — bit-packed frontier BFS and scratch-reusing weighted
@@ -39,8 +42,10 @@ batch — live in :mod:`repro.spt.batched`.
 from __future__ import annotations
 
 import heapq
+from array import array
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
+from repro.backends.api import HopRow
 from repro.backends.dispatch import kernel_impl
 from repro.exceptions import GraphError
 from repro.graphs.csr import CSRGraph
@@ -54,8 +59,10 @@ def _check_source(csr: CSRGraph, source: int, role: str = "source") -> None:
 
 
 def csr_bfs_distances(csr: CSRGraph, mask: Optional[bytearray],
-                      source: int) -> List[int]:
+                      source: int) -> HopRow:
     """Hop distances from ``source`` over a (possibly masked) snapshot.
+
+    An ``array('i')`` row, ``UNREACHABLE`` where cut off.
 
     Dispatching wrapper: the call is served by whichever kernel
     backend (:mod:`repro.backends`) the calibrated table picks for
@@ -67,7 +74,7 @@ def csr_bfs_distances(csr: CSRGraph, mask: Optional[bytearray],
 
 
 def csr_bfs_distances_loops(csr: CSRGraph, mask: Optional[bytearray],
-                            source: int) -> List[int]:
+                            source: int) -> HopRow:
     """The pure-Python loop implementation (the ``pyloops`` backend)."""
     _check_source(csr, source)
     indptr, indices = csr.indptr, csr.indices
@@ -96,7 +103,7 @@ def csr_bfs_distances_loops(csr: CSRGraph, mask: Optional[bytearray],
                         dist[v] = depth
                         nxt.append(v)
             frontier = nxt
-    return dist
+    return array("i", dist)
 
 
 def csr_bfs_tree(csr: CSRGraph, mask: Optional[bytearray],

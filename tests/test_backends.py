@@ -12,8 +12,11 @@ the provenance/stats threading up through ``Session``.
 from __future__ import annotations
 
 import pickle
+import random
+from array import array
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.backends import (
     KERNEL_NAMES,
@@ -22,10 +25,12 @@ from repro.backends import (
     current_mode,
     numpy_or_none,
     reset_thresholds,
+    row_eccentricity,
     set_backend,
     set_thresholds,
     thresholds,
 )
+from repro.backends import api as backends_api
 from repro.backends.dispatch import backend_for, backend_name_for, kernel_impl
 from repro.exceptions import BackendError, GraphError
 from repro.graphs import generators
@@ -53,6 +58,11 @@ def _clean_seam(monkeypatch):
 
 def small_csr():
     return generators.cycle(6).csr()
+
+
+def is_hop_row(row):
+    """Every hop kernel returns its rows as ``array('i')``."""
+    return isinstance(row, array) and row.typecode == "i"
 
 
 def big_csr():
@@ -162,7 +172,7 @@ class TestNumpyFallback:
     def test_kernels_still_serve_without_numpy(self, monkeypatch):
         monkeypatch.setenv("REPRO_NO_NUMPY", "1")
         csr = small_csr()
-        assert csr_bfs_distances(csr, None, 0) == [0, 1, 2, 3, 2, 1]
+        assert list(csr_bfs_distances(csr, None, 0)) == [0, 1, 2, 3, 2, 1]
 
 
 class TestProtocolConformance:
@@ -187,7 +197,27 @@ class TestProtocolConformance:
         set_backend("pyloops")
         loop_fn = kernel_impl("csr_bfs_distances", csr)
         assert vec_fn is not loop_fn
-        assert vec_fn(csr, None, 0) == loop_fn(csr, None, 0)
+        vec_row, loop_row = vec_fn(csr, None, 0), loop_fn(csr, None, 0)
+        assert is_hop_row(vec_row) and is_hop_row(loop_row)
+        assert vec_row == loop_row
+
+    @pytest.mark.parametrize("mode", ["pyloops", "vectorized"])
+    def test_hop_kernels_return_int_arrays_on_every_path(self, mode):
+        if mode == "vectorized" and not HAVE_NUMPY:
+            pytest.skip("needs numpy")
+        set_backend(mode)
+        csr = small_csr()
+        backend = backend_for("csr_bfs_distances", csr)
+        mask = csr.without([(0, 1)])._as_csr()[1]
+        base = backend.csr_bfs_distances(csr, None, 0)
+        want = backend.csr_bfs_distances(csr, mask, 0)
+        many = backend.csr_bfs_distances_many(csr, mask, [0, 3, 3])
+        patched, _ = backend.csr_bfs_repair(csr, mask, base, [1, 2, 3])
+        untouched, _ = backend.csr_bfs_repair(csr, None, base, [])
+        for row in (base, want, *many, patched, untouched):
+            assert is_hop_row(row)
+        assert list(want) == [0, 5, 4, 3, 2, 1]
+        assert many[0] == want and patched == want and untouched == base
 
     @needs_numpy
     def test_unknown_source_raises_on_both(self):
@@ -196,6 +226,69 @@ class TestProtocolConformance:
             set_backend(mode)
             with pytest.raises(GraphError):
                 kernel_impl("csr_bfs_distances", csr)(csr, None, 99)
+
+
+def _scan(row):
+    """The reference reduction: the planner's scan before the helper."""
+    return UNREACHABLE if UNREACHABLE in list(row) else max(row)
+
+
+@st.composite
+def cut_rows(draw, top):
+    """Non-empty rows of entries in ``[0, top]``, some cut off."""
+    values = draw(st.lists(st.integers(0, top), min_size=1, max_size=300))
+    rng = random.Random(draw(st.integers(0, 2**16)))
+    for _ in range(draw(st.integers(0, 3))):
+        values[rng.randrange(len(values))] = UNREACHABLE
+    return values
+
+
+HELPER_SETTINGS = dict(
+    max_examples=150, deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+
+
+class TestRowEccentricity:
+    """``row_eccentricity`` equals the scan it replaced, on every row
+    type, and always returns a Python ``int``."""
+
+    @needs_numpy
+    @given(cut_rows(2**31 - 1))
+    @settings(**HELPER_SETTINGS)
+    def test_hop_rows_with_numpy(self, values):
+        row = array("i", values)
+        got = row_eccentricity(row)
+        assert got == _scan(row) and type(got) is int
+
+    @given(cut_rows(2**31 - 1))
+    @settings(**HELPER_SETTINGS)
+    def test_hop_rows_without_numpy(self, values):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setenv("REPRO_NO_NUMPY", "1")
+            row = array("i", values)
+            got = row_eccentricity(row)
+        assert got == _scan(row) and type(got) is int
+
+    @given(cut_rows(2**80))
+    @settings(**HELPER_SETTINGS)
+    def test_weighted_list_rows(self, values):
+        got = row_eccentricity(values)
+        assert got == _scan(values) and type(got) is int
+
+    def test_single_slot_rows(self):
+        for row in (array("i", [0]), array("i", [UNREACHABLE]), [7]):
+            assert row_eccentricity(row) == _scan(row)
+
+    def test_never_imports_numpy_itself(self, monkeypatch):
+        # Before any kernel has loaded numpy, the reduction takes the
+        # Python scan and leaves the import to the kernels.
+        probe = []
+        monkeypatch.setattr(backends_api, "_NUMPY_PROBE", probe)
+        assert row_eccentricity(array("i", [0, 3, UNREACHABLE])) \
+            == UNREACHABLE
+        assert row_eccentricity(array("i", [0, 3, 2])) == 3
+        assert probe == []
 
 
 class TestNDMirror:

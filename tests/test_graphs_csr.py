@@ -186,4 +186,4 @@ class TestNeighborsSnapshot:
 
     def test_bfs_still_correct_after_change(self, house):
         # The tuple snapshot must not change traversal semantics.
-        assert bfs_distances(house, 0) == [0, 1, 1, 2, 3]
+        assert list(bfs_distances(house, 0)) == [0, 1, 1, 2, 3]

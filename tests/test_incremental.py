@@ -11,6 +11,7 @@ delta-disabled engine, correct provenance, and honest counters.
 from __future__ import annotations
 
 import random
+from array import array
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -54,6 +55,11 @@ BACKEND_COMMON = dict(
 )
 
 
+def is_hop_row(row):
+    """Every hop kernel returns its rows as ``array('i')``."""
+    return isinstance(row, array) and row.typecode == "i"
+
+
 @st.composite
 def delta_cases(draw, min_n=2, max_n=16, max_faults=4):
     """(graph, fault set, source) over random connected-ish graphs."""
@@ -88,11 +94,23 @@ class TestRepairKernels:
         mask = csr.without(faults)._as_csr()[1]
         base = csr_bfs_distances(csr, None, s)
         patched, changed = csr_bfs_repair(csr, mask, base, orphans)
+        assert is_hop_row(patched)
         assert patched == csr_bfs_distances(csr, mask, s)
         assert changed == sorted(
             v for v in range(g.n) if patched[v] != base[v]
         )
         assert set(changed) <= set(orphans)
+
+    def test_bfs_repair_of_an_empty_region_copies_the_base(self, backend):
+        # The early return for no orphans hands back a fresh hop row
+        # too, from an array base or a list base alike.
+        csr = generators.cycle(6).csr()
+        base = csr_bfs_distances(csr, None, 0)
+        for given_base in (base, list(base)):
+            patched, changed = csr_bfs_repair(csr, None, given_base, [])
+            assert is_hop_row(patched)
+            assert patched == base and patched is not given_base
+            assert changed == []
 
     @given(delta_cases())
     @settings(max_examples=80, **BACKEND_COMMON)

@@ -12,7 +12,9 @@ test_service.py (frames + coalescer).
 """
 
 import io
+import itertools
 import json
+import time
 import urllib.request
 
 import pytest
@@ -173,6 +175,34 @@ class TestTracing:
         assert record["end"] - record["start"] == pytest.approx(1.5,
                                                                 abs=0.1)
         assert record["attrs"] == {"kernel": "bfs"}
+
+    def test_stepped_wall_clock_cannot_shorten_a_span(self, monkeypatch):
+        # The wall clock steps back an hour inside a span (an NTP
+        # correction, a resumed VM).  Stamps come from the monotonic
+        # clock against one per-process anchor, so no duration goes
+        # negative and stamps stay epoch seconds.
+        obs.enable()
+        wall = time.time
+        with obs.span("outer"):
+            monkeypatch.setattr(time, "time", lambda: wall() - 3600.0)
+            with obs.span("inner"):
+                pass
+        records = obs.span_records()
+        assert {r["name"] for r in records} == {"outer", "inner"}
+        for record in records:
+            assert record["end"] - record["start"] >= 0
+            assert abs(record["start"] - wall()) < 600
+
+    def test_emit_span_records_the_seconds_it_was_passed(self, monkeypatch):
+        # A wall clock that jumps a second on every read: the record's
+        # duration must still be exactly the timed seconds.
+        ticks = itertools.count(time.time(), 1.0)
+        monkeypatch.setattr(time, "time", lambda: next(ticks))
+        obs.enable()
+        obs.emit_span("wave", 1.5)
+        record, = obs.span_records()
+        assert record["end"] - record["start"] == pytest.approx(1.5,
+                                                                abs=1e-6)
 
     def test_activate_reparents_to_carried_context(self):
         obs.enable()

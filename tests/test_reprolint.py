@@ -390,6 +390,39 @@ def test_loops_profile_flags_what_vectorized_allows():
     assert {"KH103", "KH104", "KH106"} <= ids
 
 
+# Hop rows are ``array('i')``: CA303 must know the array's own
+# in-place mutators, and the fix hint must be a copy both row types
+# support (an array has no ``.copy()``).
+ARRAY_MUTATOR_BAD = """
+def refill(engine, s, raw):
+    vec = engine.peek_vector(s)
+    vec.frombytes(raw)
+    return vec
+"""
+
+ARRAY_MUTATOR_GOOD = """
+def refill(engine, s, raw):
+    vec = engine.peek_vector(s)[:]
+    vec.frombytes(raw)
+    return vec
+"""
+
+
+@pytest.mark.parametrize("method", ["byteswap", "frombytes", "fromfile",
+                                    "fromlist", "fromunicode"])
+def test_array_row_mutators_through_a_cache_alias(method):
+    bad = ARRAY_MUTATOR_BAD.replace("frombytes", method)
+    good = ARRAY_MUTATOR_GOOD.replace("frombytes", method)
+    assert active_ids(lint_source(bad, COLD)) == {"CA303"}
+    assert active_ids(lint_source(good, COLD)) == set()
+
+
+def test_cache_alias_hint_is_a_slice_copy():
+    finding, = lint_source(ARRAY_MUTATOR_BAD, COLD)
+    assert "vec[:]" in finding.message
+    assert ".copy()" not in finding.message
+
+
 def test_findings_carry_location_and_sort():
     module, bad, _ = FIXTURES["CA301"]
     findings = lint_source(bad, module, path="fake.py")

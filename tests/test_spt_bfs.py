@@ -18,12 +18,12 @@ from repro.spt.bfs import (
 class TestBfsDistances:
     def test_path_graph(self):
         g = generators.path(5)
-        assert bfs_distances(g, 0) == [0, 1, 2, 3, 4]
-        assert bfs_distances(g, 2) == [2, 1, 0, 1, 2]
+        assert list(bfs_distances(g, 0)) == [0, 1, 2, 3, 4]
+        assert list(bfs_distances(g, 2)) == [2, 1, 0, 1, 2]
 
     def test_unreachable(self):
         g = Graph(3, [(0, 1)])
-        assert bfs_distances(g, 0) == [0, 1, UNREACHABLE]
+        assert list(bfs_distances(g, 0)) == [0, 1, UNREACHABLE]
 
     def test_unknown_source(self):
         with pytest.raises(GraphError):
