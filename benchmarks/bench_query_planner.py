@@ -1,14 +1,18 @@
-"""QUERY — the batching planner vs per-call engine methods.
+"""QUERY — the batching planner vs one query at a time.
 
 One experiment, the PR-4 acceptance bar: a **mixed** declarative
 stream (``DistanceQuery`` pairs + ``VectorQuery`` +
 ``EccentricityQuery`` probes, many queries sharing each fault set) is
 answered two ways:
 
-* **per-method baseline** — each query issued through the engine's
-  per-call surface (``pair_replacement_distance`` / ``source_vector``)
-  on a fresh engine: every layer PR 1–3 built (memo, vector cache,
-  touch filter) is active, but nothing groups *across* queries.
+* **per-query baseline** — each query answered on its own by
+  ``Session.answer_one`` on a fresh session: every cache layer (the
+  row cache, the touch filter) is active, but nothing groups *across*
+  queries, so each uncached pair pays a full single-source wave.
+  Older ``query_planner`` entries in the ``BENCH_SUMMARY.json``
+  history timed per-call engine methods whose pair path stopped its
+  traversal at the target; their speedups do not compare with this
+  baseline's.
 * **planner** — the same stream through a
   :class:`repro.query.Session`: the planner groups by canonical fault
   set, answers what the caches/filter can, and serves each group's
@@ -45,8 +49,7 @@ from repro.query import (
     Session,
     VectorQuery,
 )
-from repro.scenarios import ScenarioEngine
-from repro.spt.bfs import UNREACHABLE, bfs_distances
+from repro.spt.bfs import bfs_distances
 
 try:
     from _harness import emit, emit_json
@@ -111,21 +114,9 @@ def build_stream(graph, num_faults: int, num_sources: int,
     return stream
 
 
-def per_method_loop(engine: ScenarioEngine, stream):
-    """The baseline: the per-call engine surface, one query at a time."""
-    out = []
-    for q in stream:
-        if isinstance(q, DistanceQuery):
-            out.append(
-                engine.pair_replacement_distance(q.source, q.target,
-                                                 q.faults)
-            )
-        elif isinstance(q, VectorQuery):
-            out.append(engine.source_vector(q.source, q.faults))
-        else:  # EccentricityQuery
-            vec = engine.source_vector(q.source, q.faults)
-            out.append(UNREACHABLE if UNREACHABLE in vec else max(vec))
-    return out
+def per_query_loop(session: Session, stream):
+    """The baseline: one ``answer_one`` per query, nothing grouped."""
+    return [session.answer_one(q).value for q in stream]
 
 
 def run_experiment(quick: bool, seed: int):
@@ -140,11 +131,12 @@ def run_experiment(quick: bool, seed: int):
                           per_fault, seed + 1)
 
     # delta=False on BOTH sides: this bench isolates the grouping
-    # advantage (planner waves vs per-call methods); the PR-5 delta
-    # path would patch most scenarios on either side and measure the
-    # repair kernels instead (bench_incremental.py covers those).
-    loop_engine = ScenarioEngine(graph, delta=False)
-    loop, loop_s = timed(per_method_loop, loop_engine, stream)
+    # advantage (planner waves vs one query at a time); the PR-5
+    # delta path would patch most scenarios on either side and
+    # measure the repair kernels instead (bench_incremental.py covers
+    # those).
+    loop_session = Session(graph, delta=False)
+    loop, loop_s = timed(per_query_loop, loop_session, stream)
 
     session = Session(graph, delta=False)
     plan = session.planner.plan(stream)
@@ -154,12 +146,12 @@ def run_experiment(quick: bool, seed: int):
 
     if planned != loop:
         raise AssertionError(
-            "planner answers diverge from the per-call engine path"
+            "planner answers diverge from the per-query answers"
         )
 
     speedup = loop_s / plan_s
     rows = [
-        {"strategy": "per-call engine methods", "n": graph.n,
+        {"strategy": "Session.answer_one per query", "n": graph.n,
          "m": graph.m, "queries": len(stream), "seconds": loop_s,
          "speedup": 1.0},
         {"strategy": "Session planner (grouped waves)", "n": graph.n,
@@ -195,12 +187,13 @@ def main(argv=None) -> int:
     )
     emit(
         "query_planner", rows,
-        "QUERY: batching planner vs per-call engine methods "
+        "QUERY: batching planner vs one query at a time "
         "(mixed pair/vector/eccentricity stream)",
         notes=(
             f"speedup: {speedup:.1f}x on {n_queries} mixed queries "
             f"(target >= 2x); {target_groups} groups waved from the "
-            f"target side; answers asserted equal to the per-call path"
+            f"target side; answers asserted equal to the per-query "
+            f"answers"
         ),
     )
     emit_json("query_planner", payload)

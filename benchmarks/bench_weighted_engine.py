@@ -8,7 +8,7 @@ fresh ``WeightedView`` and reruns the reference dict-and-heap Dijkstra
 driven through a :class:`~repro.query.session.Session` with typed
 :class:`~repro.query.queries.DistanceQuery` objects, amortises the
 weight-carrying CSR snapshot, base weighted distance
-vectors, the weighted touch filter and the scenario memo across the
+vectors, the weighted touch filter and the row cache across the
 stream, and traverses flat arrays when it must traverse at all.
 
 Acceptance target: >= 10x on 1000 single-fault scenarios against an

@@ -5,8 +5,8 @@ The weighted twin of ``batch_scenarios.py``: one weighted base network
 (think link latencies), a stream of fault sets, and per-scenario
 questions answered by the weighted :class:`ScenarioEngine` — exact
 weighted distances over a weight-carrying CSR snapshot, a weighted
-touch filter (``d_s(u) + w(u, v) + d_t(v) == d_s(t)``), and a scenario
-memo for repeated fault sets.  Restoration goes through the
+touch filter (``d_s(u) + w(u, v) + d_t(v) == d_s(t)``), and a row
+cache that answers repeated fault sets.  Restoration goes through the
 middle-edge sweep of the weighted restoration lemma (Theorem 11),
 sharing one engine so the perturbed shortest-path trees are built once
 for the whole stream.
@@ -40,7 +40,7 @@ def main() -> None:
     print(f"monitored pair ({s}, {t}): base weighted distance {base}")
 
     # Scenario universe: every single fault, plus sampled double faults
-    # *with repeats* — the memo's bread and butter.
+    # *with repeats* — the row cache's bread and butter.
     scenarios = list(single_edge_faults(wg))
     scenarios += random_fault_sets(wg, 2, 150, seed=7) * 2
     print(f"scenario stream: {len(scenarios)} fault sets "
@@ -58,8 +58,8 @@ def main() -> None:
         f"\nreplacement distances: {secs * 1e3:.1f} ms for the stream; "
         f"{degraded} scenarios degrade the route, {cut} cut it"
     )
-    print(f"  scenario memo: {info.hits} hits / "
-          f"{info.misses} misses (size {info.size})")
+    print(f"  row cache: {info.vector_hits} hits / "
+          f"{info.vector_misses} misses ({info.size} rows)")
 
     # --- batched connectivity -----------------------------------------
     alive = [

@@ -237,10 +237,7 @@ def cmd_query(args) -> int:
     _print_provenance(answers)
     print(f"degraded monitored-pair answers: {degraded}; "
           f"disconnecting fault sets: {cut}/{len(scenarios)}")
-    info = session.cache_info()
-    print(f"engine LRU: {info.size} entries, pair memo "
-          f"{info.hits}h/{info.misses}m, vector cache "
-          f"{info.vector_hits}h/{info.vector_misses}m")
+    print(f"engine LRU: {_cache_line(session.cache_info())}")
     if connect:
         server = session.server_stats()["server"]
         print(f"service: {server['batches']} micro-batches, "
@@ -255,6 +252,15 @@ def cmd_query(args) -> int:
     session.close()
     print(f"session: {session!r}")
     return 0
+
+
+def _cache_line(info) -> str:
+    """One line of a :class:`~repro.scenarios.engine.CacheInfo`: the
+    LRU's rows, its vector-cache counters and the delta counters."""
+    return (f"{info.size}/{info.maxsize} rows, vector cache "
+            f"{info.vector_hits}h/{info.vector_misses}m/"
+            f"{info.vector_evictions}e, delta "
+            f"{info.delta_hits}h/{info.delta_fallbacks}f")
 
 
 def _print_provenance(answers) -> None:
@@ -358,9 +364,7 @@ def cmd_stats(args) -> int:
         f"{name}={value}" for name, value in sorted(server.items())))
     info = reply.get("cache")
     if info is not None:
-        print(f"backend LRU: {info.size} entries, pair memo "
-              f"{info.hits}h/{info.misses}m, vector cache "
-              f"{info.vector_hits}h/{info.vector_misses}m")
+        print(f"backend LRU: {_cache_line(info)}")
     obs_view = reply.get("obs") or {}
     metrics = obs_view.get("metrics", [])
     spans = obs_view.get("spans", [])

@@ -453,23 +453,6 @@ class CSRFaultView:
             raise GraphError(f"({u}, {v}) not present in the view")
         return self._base.arc_weight(u, v)
 
-    @classmethod
-    def _adopt(cls, base: CSRGraph, faults: frozenset,
-               mask: bytearray) -> "CSRFaultView":
-        """Internal: wrap an existing mask buffer without copying it.
-
-        ``faults`` must already be canonical and ``mask`` already
-        zeroed at their arc positions (see the scenario engine's
-        scratch mask).  The view aliases the buffer, so it must not
-        outlive the buffer's validity window.
-        """
-        view = cls.__new__(cls)
-        view._base = base
-        view._faults = faults
-        view._mask = mask
-        view._removed = sum(1 for e in faults if e in base._arc_pos)
-        return view
-
     # ------------------------------------------------------------------
     def without(self, faults: Iterable[Edge]) -> "CSRFaultView":
         """A view over the same snapshot with the union fault set."""

@@ -7,7 +7,7 @@ subtree hanging below the faulted tree edge — every other vertex keeps
 its base distance, because its selected root-path survives the faults
 and edge removal can only *increase* distances.  This package turns
 that observation into a fourth evaluation strategy alongside the
-engine's memo / touch filter / masked wave:
+engine's row cache / touch filter / masked wave:
 
 * :mod:`repro.incremental.affected` — :func:`affected_region` reads the
   orphaned-vertex count straight off the

@@ -46,8 +46,9 @@ The contract:
   :class:`~repro.exceptions.QueryError` before any kernel runs, never
   silently serving the wrong kernel.
 * **Batching.**  The planner groups the stream by canonical fault
-  set, answers what it can from the engine's memo/vector caches and
-  touch filter, patches wave starts whose orphaned region is small
+  set, answers what it can from the engine's row cache and touch
+  filter (a pair answer is one slot of a cached row, never an entry
+  of its own), patches wave starts whose orphaned region is small
   (the incremental-delta path, :mod:`repro.incremental`), and serves
   each group's remainder with one masked multi-source wave — waved
   from whichever side (sources or targets) costs fewer traversals,
@@ -75,8 +76,8 @@ The same dialect (:class:`SessionDialect`) is spoken by the sharded
 one transport seam, ``_execute(queries, scheme, tenant)``.
 
 ``examples/query_session.py`` is the guided tour;
-``benchmarks/bench_query_planner.py`` measures the planner against
-per-call engine primitives.
+``benchmarks/bench_query_planner.py`` measures the planner's grouped
+waves against the same stream answered one query at a time.
 """
 
 from repro.exceptions import QueryError

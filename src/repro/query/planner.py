@@ -5,15 +5,19 @@ The :class:`Planner` takes an arbitrary mix of typed queries (see
 runs* (mixed weightedness, unknown vertices, unservable kinds all
 raise :class:`~repro.exceptions.QueryError`), groups it by canonical
 fault set, and serves each group with **one** batched multi-source
-wave — after the engine's cheaper layers (pair memo, vector cache,
-touch filter, and since PR 5 the incremental-delta patch: wave starts
-whose orphaned region is small are served by
+wave — after the engine's cheaper layers (the row cache, the touch
+filter, and the incremental-delta patch: wave starts whose orphaned
+region is small are served by
 :meth:`~repro.scenarios.engine.ScenarioEngine.try_delta` and tagged
 with ``"delta"`` provenance) have answered everything they can.
-That grouped pair ladder lives here and nowhere else: a
+That grouped pair ladder lives here and nowhere else: every pair
+answer is a slot of a cached or freshly computed row, or a touch
+filter verdict, and is never cached on its own.  A
 :class:`~repro.query.queries.RestorationQuery` plans its target
 distance as a :class:`~repro.query.queries.DistanceQuery` through the
-same groups, then runs the engine's midpoint scan.
+same groups, then runs the engine's midpoint scan; the weighted
+restoration helpers (:mod:`repro.weighted`) ask a
+:class:`~repro.query.session.Session` for theirs.
 
 Side choice (the ROADMAP's target-side batching): within a group the
 distance/pair queries could be waved from their sources *or* — since
@@ -112,9 +116,9 @@ class Planner:
         The :class:`~repro.scenarios.engine.ScenarioEngine` whose
         snapshot, caches and kernels serve the plans.  The planner
         only uses the engine's *kernel layer* (``source_vectors``,
-        ``peek_pair`` / ``peek_vector`` / ``store_pair``,
-        ``faults_touch_pair``, ``try_delta``, ``base_distances``,
-        ``midpoint_scan``, ``preserver_violations``).
+        ``peek_vector`` / ``peek_any_vector``, ``faults_touch_pair``,
+        ``try_delta``, ``base_distances``, ``midpoint_scan``,
+        ``preserver_violations``).
     """
 
     def __init__(self, engine):
@@ -295,8 +299,8 @@ class Planner:
         kernel = ("csr_weighted_distances_many" if engine.weighted
                   else "csr_bfs_distances_many")
         queries = plan.queries
-        # Phase 1: the cheap layers — pair memo, vector cache, touch
-        # filter — answer what they can; the rest joins the wave.
+        # Phase 1: the cheap layers — vector cache, touch filter —
+        # answer what they can; the rest joins the wave.
         pending: List[int] = []          # query indices awaiting the wave
         wave: "OrderedDict[int, None]" = OrderedDict()  # dedup, ordered
         conn: List[int] = []             # connectivity queries, deferred
@@ -307,11 +311,6 @@ class Planner:
                 conn.append(i)
                 continue
             if isinstance(q, _PAIR_KINDS):
-                dist = engine.peek_pair(q.source, q.target, fault_key)
-                if dist is not None:
-                    answers[i] = Answer(q, self._pair_value(q, dist),
-                                        Provenance("cache", "pair-memo"))
-                    continue
                 served = False
                 for origin, other in (
                     ((q.source, q.target),)
@@ -320,11 +319,8 @@ class Planner:
                 ):
                     vec = engine.peek_vector(origin, fault_key)
                     if vec is not None:
-                        dist = vec[other]
-                        engine.store_pair(q.source, q.target,
-                                          fault_key, dist)
                         answers[i] = Answer(
-                            q, self._pair_value(q, dist),
+                            q, self._pair_value(q, vec[other]),
                             Provenance("cache", "vector-cache"),
                         )
                         if conn_vector is None:
@@ -336,7 +332,6 @@ class Planner:
                 if not engine.faults_touch_pair(q.source, q.target,
                                                 fault_key):
                     dist = engine.base_distances(q.source)[q.target]
-                    engine.store_pair(q.source, q.target, fault_key, dist)
                     answers[i] = Answer(
                         q, self._pair_value(q, dist),
                         Provenance("filter", "touch-filter"),
@@ -418,7 +413,6 @@ class Planner:
             if isinstance(q, _PAIR_KINDS):
                 origin = q.target if flip else q.source
                 dist = rows[origin][q.source if flip else q.target]
-                engine.store_pair(q.source, q.target, fault_key, dist)
                 answers[i] = Answer(
                     q, self._pair_value(q, dist),
                     delta_of.get(origin, wave_of),

@@ -272,9 +272,9 @@ class Provenance:
 
     ``source`` is one of:
 
-    * ``"cache"`` — served without traversing (pair memo, cached
-      distance vector, or fault-free base vectors); ``detail`` names
-      which cache.
+    * ``"cache"`` — served without traversing, by indexing a cached
+      distance vector (``detail`` is ``"vector-cache"``; a fault-free
+      query reads the base vectors the same way).
     * ``"filter"`` — the touch filter proved the fault set off every
       shortest path, so the base distance was returned in O(|F|).
     * ``"delta"`` — the fault set's orphaned region was small, so the

@@ -460,8 +460,10 @@ class Session(SessionDialect):
         """Resolve the consumer idiom "optional engine or session".
 
         The one implementation of the adoption contract shared by
-        ``SourcewiseDSO``, ``restoration_success_rate`` and
-        ``subset_replacement_paths``: reuse a passed session, wrap a
+        ``SourcewiseDSO``, ``restoration_success_rate``,
+        ``subset_replacement_paths``, ``BaseSet`` and the weighted
+        restoration functions (``weighted_restoration_lemma_holds``,
+        ``restore_via_middle_edge``): reuse a passed session, wrap a
         passed engine, or build fresh — raising
         :class:`~repro.exceptions.GraphError` (the pre-PR-4 contract
         of those consumers) when the passed component was built over a

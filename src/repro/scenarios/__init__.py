@@ -37,7 +37,6 @@ naive per-:class:`~repro.graphs.views.FaultView` loop it replaces.
 from repro.scenarios.engine import (
     CacheInfo,
     ScenarioEngine,
-    ScenarioResult,
     TreeFaultIndex,
 )
 from repro.scenarios.enumerate import (
@@ -52,7 +51,6 @@ from repro.scenarios.enumerate import (
 __all__ = [
     "CacheInfo",
     "ScenarioEngine",
-    "ScenarioResult",
     "TreeFaultIndex",
     "FaultSet",
     "all_fault_subsets",

@@ -16,14 +16,13 @@ amortising everything that does not depend on the individual scenario:
   membership is O(1) per fault edge against the two base distance
   vectors — so the common "fault missed me" scenario costs O(|F|)
   instead of a BFS;
-* a bounded LRU *scenario memo* for pair queries: sampled traffic
-  streams repeat fault sets, and a repeat keyed by
-  ``(s, t, canonical fault tuple)`` skips even the touch filter
-  (hit/miss/eviction counters via :meth:`ScenarioEngine.cache_info`);
-* a per-``(source, canonical fault tuple)`` *distance-vector cache*
-  sharing the same LRU (one eviction policy for both entry kinds):
-  streams that share a fault set across many pairs pay one masked
-  traversal per source, and later pairs are answered by indexing;
+* a bounded LRU *distance-vector cache* keyed by ``(source,
+  canonical fault tuple)``: streams that share a fault set across many
+  pairs pay one masked traversal per source, and later pairs are
+  answered by indexing the cached row (hit/miss/eviction counters via
+  :meth:`ScenarioEngine.cache_info`).  It caches rows only: a pair
+  answer is one slot of a row, or O(|F|) work for the touch filter,
+  so it is never booked as an entry of its own;
 * batched multi-source waves: :meth:`ScenarioEngine.source_vectors`
   feeds every uncached source of one fault set to the bit-packed
   multi-source kernels of :mod:`repro.spt.batched`, so one sweep over
@@ -52,23 +51,22 @@ preserver checks) remain unweighted-only and raise on a weighted
 engine.
 
 Per-scenario work then runs over flat arrays (see
-:mod:`repro.spt.fastpaths`); :meth:`ScenarioEngine.run` applies a
-caller's evaluator to each scenario's masked view, serially — the
-fleet (:mod:`repro.fleet`) is the library's one multi-process path.
+:mod:`repro.spt.fastpaths`), serially — the fleet (:mod:`repro.fleet`)
+is the library's one multi-process path.
 
 The engine is the *kernel layer* under the declarative query API
 (:mod:`repro.query`): a :class:`~repro.query.session.Session` owns an
 engine and a planner that groups arbitrary mixed query streams onto
 these batched kernels, and query streams enter through the session.
-The engine's surface is the scalar primitives
-(``pair_replacement_distance``, ``source_vector``/``source_vectors``,
-``base_distances``), the batch jobs behind the planner's preserver
-and midpoint kinds (``preserver_violations``, ``midpoint_scan``), and
-the planner protocol (:meth:`peek_pair`, :meth:`peek_vector`,
-:meth:`store_pair`, :meth:`try_delta`).  The grouped pair ladder —
-pair memo, vector cache, touch filter, delta, masked wave — lives
-once, in the planner; restoration queries reach the engine through
-it.
+The engine's surface is the row primitives
+(``source_vector``/``source_vectors``, ``base_distances``), the batch
+jobs behind the planner's preserver and midpoint kinds
+(``preserver_violations``, ``midpoint_scan``), and the planner
+protocol (:meth:`peek_vector`, :meth:`peek_any_vector`,
+:meth:`faults_touch_pair`, :meth:`try_delta`).  The pair ladder —
+vector cache, touch filter, delta, masked wave — lives once, in the
+planner: every pair answer, restoration targets included, comes
+through it.
 
 Example
 -------
@@ -87,60 +85,49 @@ from contextlib import contextmanager
 from dataclasses import dataclass, fields
 from time import perf_counter
 from typing import (
-    Any, Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple,
+    Any, Dict, Iterable, List, Optional, Sequence, Set, Tuple,
 )
 
 from repro import obs as _obs
 from repro.backends.dispatch import backend_for
 from repro.exceptions import GraphError
 from repro.graphs.base import Edge, Graph, canonical_edge
-from repro.graphs.csr import CSRFaultView, CSRGraph
+from repro.graphs.csr import CSRGraph
 from repro.incremental.affected import CostModel, affected_region
-from repro.scenarios.enumerate import FaultSet, _canonical
+from repro.scenarios.enumerate import _canonical
 from repro.spt.batched import csr_bfs_distances_many
 from repro.spt.bfs import UNREACHABLE
 from repro.spt.fastpaths import (
     csr_bfs_distances,
     csr_bfs_tree,
     csr_dijkstra_flat,
-    csr_hop_distance,
-    csr_weighted_distance,
     csr_weighted_distances,
 )
 from repro.spt.trees import ShortestPathTree
 
-__all__ = ["CacheInfo", "ScenarioEngine", "ScenarioResult",
-           "TreeFaultIndex"]
-
-_MISS = object()  # memo sentinel: cached values include UNREACHABLE (-1)
+__all__ = ["CacheInfo", "ScenarioEngine", "TreeFaultIndex"]
 
 
 @dataclass(frozen=True)
 class CacheInfo:
-    """Frozen snapshot of the shared LRU memo's counters.
+    """Frozen snapshot of the engine's row-cache counters.
 
-    ``hits`` / ``misses`` / ``evictions`` cover the per-pair
-    ``(s, t, F)`` memo (names kept from PR 2 for back-compat);
-    ``vector_*`` cover the per-``(source, F)`` distance-vector cache.
+    ``vector_*`` cover the LRU of per-``(source, F)`` distance rows.
     ``delta_hits`` counts vectors served by *patching* the base
     vector over a small affected region (:mod:`repro.incremental`),
     ``delta_fallbacks`` the scenarios whose region was too large, so
     the cost model sent them back to the full-wave path.  ``size``
-    counts entries of both kinds; ``maxsize`` bounds their sum — one
-    eviction policy.  ``wave_backends`` reports which kernel backend
+    counts the cached rows and ``maxsize`` bounds them.
+    ``wave_backends`` reports which kernel backend
     (:mod:`repro.backends`) served the engine's batched waves, as
     sorted ``(name, count)`` pairs — JSON-able and hashable like every
     other field.
 
     Attribute access is the canonical interface; ``__getitem__`` and
-    ``keys`` keep the pre-existing mapping idiom working, so
-    ``info["hits"]`` still reads and ``dict(info)`` round-trips for
-    JSON payloads.
+    ``keys`` keep the mapping idiom working, so ``info["size"]``
+    reads and ``dict(info)`` round-trips for JSON payloads.
     """
 
-    hits: int
-    misses: int
-    evictions: int
     vector_hits: int
     vector_misses: int
     vector_evictions: int
@@ -159,8 +146,8 @@ class CacheInfo:
         return iter(_CACHE_INFO_FIELDS)
 
     def __iter__(self):
-        # Mapping-style iteration (yields keys, so `"hits" in info`
-        # and `list(info)` behave like the PR-2 raw dict).
+        # Mapping-style iteration (yields keys, so `"size" in info`
+        # and `list(info)` behave like a raw dict).
         return iter(_CACHE_INFO_FIELDS)
 
     def __eq__(self, other) -> bool:
@@ -260,15 +247,6 @@ def _scratch_masked(csr: CSRGraph, scratch: bytearray,
     finally:
         for p in positions:
             scratch[p] = 1
-
-
-@dataclass(frozen=True)
-class ScenarioResult:
-    """One scenario's outcome: its index in the stream, ``F``, a value."""
-
-    index: int
-    faults: FaultSet
-    value: Any
 
 
 class TreeFaultIndex:
@@ -412,19 +390,15 @@ class ScenarioEngine:
         array the engine runs in weighted mode: distances are exact
         weighted distances via the flat Dijkstra kernels.
     memoize:
-        Capacity of the shared scenario memo (one LRU, one eviction
-        policy) holding both per-pair entries keyed
-        ``(s, t, canonical fault tuple)`` and per-source
-        distance-vector entries keyed ``(source, canonical fault
-        tuple)``.  ``0`` disables both.  The bound counts *entries*:
-        a pair entry is one int but a vector entry is a dense O(n)
-        row — ``4n`` bytes for a hop row (``array('i')``), about
-        ``8n`` for a weighted row (a list of ints) — so the
-        worst-case footprint is ``memoize`` rows; size ``memoize``
-        down on memory-constrained deployments with vector-heavy
-        streams.  (Vectors handed to long-lived consumers, e.g. DSO
-        preprocessing rows, are aliased — the cache holds a
-        reference to the same row object, not a copy.)
+        Capacity of the row cache: one LRU of distance vectors keyed
+        ``(source, canonical fault tuple)``.  ``0`` disables it.
+        Every entry is a dense O(n) row — ``4n`` bytes for a hop row
+        (``array('i')``), about ``8n`` for a weighted row (a list of
+        ints) — so the footprint is at most ``memoize`` rows; size
+        ``memoize`` down on memory-constrained deployments.  (Vectors
+        handed to long-lived consumers, e.g. DSO preprocessing rows,
+        are aliased — the cache holds a reference to the same row
+        object, not a copy.)
     delta:
         Enable the incremental-delta strategy (:meth:`try_delta`,
         default True): per-source base SPT indices are built lazily
@@ -461,18 +435,11 @@ class ScenarioEngine:
         )
         self._base_dist: Dict[int, Sequence[int]] = {}
         self._tree_index: Dict[int, TreeFaultIndex] = {}
-        # Scenario memo: one bounded LRU (one eviction policy) holding
-        # two entry kinds — pair replacement distances keyed
-        # (s, t, F) and per-source distance vectors keyed (s, F).
-        # Repeated fault sets in sampled streams skip even the touch
-        # filter, and pairs sharing (s, F) are answered by indexing a
-        # cached vector instead of re-traversing.  Key kinds are
-        # distinguished by tuple length (3 = pair, 2 = vector).
-        self._memo: "OrderedDict[Tuple, Any]" = OrderedDict()
+        # Row cache: one bounded LRU of per-source distance vectors
+        # keyed (s, F).  Pairs sharing (s, F) are answered by
+        # indexing a cached vector instead of re-traversing.
+        self._memo: "OrderedDict[Tuple, Sequence[int]]" = OrderedDict()
         self._memo_max = max(0, memoize)
-        self.cache_hits = 0
-        self.cache_misses = 0
-        self.pair_evictions = 0
         self.vector_hits = 0
         self.vector_misses = 0
         self.vector_evictions = 0
@@ -500,28 +467,10 @@ class ScenarioEngine:
         # and restored afterwards, so per-scenario masking really is
         # O(|F|) (a fresh CSRFaultView would pay an O(m) buffer copy).
         self._scratch_mask = bytearray(b"\x01") * len(self.csr.indices)
-        self._mask_busy = False
 
-    @contextmanager
     def _masked(self, faults: Iterable[Edge]):
-        """The shared scratch mask with ``faults`` zeroed, then restored.
-
-        Re-entrant: if the scratch buffer is already loaned out (e.g.
-        an evaluator passed to :meth:`run` calls back into an engine
-        query while holding its scenario view), the nested use gets a
-        private freshly-allocated mask instead, so the outer view stays
-        valid and the inner query sees only its own fault set.
-        """
-        if self._mask_busy:
-            yield self.csr.without(faults)._as_csr()[1]
-            return
-        self._mask_busy = True
-        try:
-            with _scratch_masked(self.csr, self._scratch_mask,
-                                 faults) as mask:
-                yield mask
-        finally:
-            self._mask_busy = False
+        """The shared scratch mask with ``faults`` zeroed, then restored."""
+        return _scratch_masked(self.csr, self._scratch_mask, faults)
 
     def _require_unweighted(self, what: str) -> None:
         if self.weighted:
@@ -545,18 +494,15 @@ class ScenarioEngine:
         """
         return self._symmetric_weights
 
-    def _memo_put(self, key: Tuple, value) -> None:
-        """Insert into the shared LRU, evicting (and counting) overflow."""
+    def _memo_put(self, key: Tuple, row: Sequence[int]) -> None:
+        """Insert a row into the LRU, evicting (and counting) overflow."""
         if not self._memo_max:
             return
-        self._memo[key] = value
+        self._memo[key] = row
         self._memo.move_to_end(key)
         if len(self._memo) > self._memo_max:
-            old_key, _ = self._memo.popitem(last=False)
-            if len(old_key) == 3:
-                self.pair_evictions += 1
-            else:
-                self.vector_evictions += 1
+            self._memo.popitem(last=False)
+            self.vector_evictions += 1
 
     # ------------------------------------------------------------------
     # amortised base state
@@ -833,47 +779,24 @@ class ScenarioEngine:
         return False
 
     # ------------------------------------------------------------------
-    # the planner protocol: counted peeks + write-back
+    # the planner protocol: counted peeks
     # ------------------------------------------------------------------
-    def peek_pair(self, s: int, t: int,
-                  faults: Iterable[Edge]) -> Optional[int]:
-        """The memoised pair distance, or ``None`` on a miss.
-
-        Counts a pair hit/miss exactly like the query path would (so
-        planner-served streams and per-call streams report comparable
-        :meth:`cache_info` counters).  Cached values are ints (possibly
-        ``UNREACHABLE``), never ``None``, so ``None`` is unambiguous.
-        """
-        if not self._memo_max:
-            return None
-        key = (s, t, _canonical(faults))
-        cached = self._memo.get(key, _MISS)
-        if cached is _MISS:
-            self.cache_misses += 1
-            return None
-        self.cache_hits += 1
-        self._memo.move_to_end(key)
-        return cached
-
     def peek_vector(self, source: int,
                     faults: Iterable[Edge]) -> Optional[Sequence[int]]:
         """The cached (read-only) ``(source, F)`` vector, or ``None``.
 
-        A hit is counted; a miss is silent — like the vector peek
-        inside :meth:`pair_replacement_distance`, misses are only
-        counted by the wave that actually traverses
-        (:meth:`source_vectors`).  The fault-free vector comes from
-        the unbounded base-distance cache (uncounted, like the
-        fault-free path of :meth:`source_vectors`).
+        A hit is counted; a miss is silent — misses are only counted
+        by the wave that actually traverses (:meth:`source_vectors`).
+        The fault-free vector comes from the unbounded base-distance
+        cache (uncounted, like the fault-free path of
+        :meth:`source_vectors`).
         """
         fault_key = _canonical(faults)
         if not fault_key:
             return self._base_dist.get(source)
-        if not self._memo_max:
-            return None
         key = (source, fault_key)
-        cached = self._memo.get(key, _MISS)
-        if cached is _MISS:
+        cached = self._memo.get(key)
+        if cached is None:
             return None
         self.vector_hits += 1
         self._memo.move_to_end(key)
@@ -884,18 +807,15 @@ class ScenarioEngine:
         """*Any* cached vector under this fault set, or ``None``.
 
         For source-agnostic questions (connectivity of ``G \\ F``):
-        scans the LRU's vector entries for the fault key (bounded by
-        ``maxsize``, far cheaper than the traversal it saves) and
-        counts a hit like :meth:`peek_vector`; misses are silent.
+        scans the LRU for the fault key (bounded by ``maxsize``, far
+        cheaper than the traversal it saves) and counts a hit like
+        :meth:`peek_vector`; misses are silent.
         """
         fault_key = _canonical(faults)
         if not fault_key:
             return next(iter(self._base_dist.values()), None)
-        if not self._memo_max:
-            return None
         found = next(
-            (key for key in self._memo
-             if len(key) == 2 and key[1] == fault_key), None
+            (key for key in self._memo if key[1] == fault_key), None
         )
         if found is None:
             return None
@@ -903,78 +823,17 @@ class ScenarioEngine:
         self._memo.move_to_end(found)
         return self._memo[found]
 
-    def store_pair(self, s: int, t: int, faults: Iterable[Edge],
-                   value: int) -> None:
-        """Memoise one pair answer (planner write-back, no counters)."""
-        self._memo_put((s, t, _canonical(faults)), value)
-
-    def pair_replacement_distance(self, s: int, t: int,
-                                  faults: Iterable[Edge]) -> int:
-        """``dist_{G \\ F}(s, t)``, skipping the traversal when it can.
-
-        Four amortisation layers fire before any full per-scenario
-        traversal: the LRU pair memo (repeated fault sets in sampled
-        streams are O(1)), a peek at the per-``(s, F)`` distance-vector
-        cache (a vector left behind by a batched wave answers by
-        indexing), the touch filter (a fault set off every shortest
-        path returns the base distance in O(|F|)), and the delta path
-        (:meth:`try_delta`: a small orphaned region is patched from
-        the base vector instead of re-traversed).
-        """
-        if not self.csr.has_vertex(t):
-            raise GraphError(f"unknown target vertex {t}")
-        fault_key = _canonical(faults)
-        if self._memo_max:
-            key = (s, t, fault_key)
-            cached = self._memo.get(key, _MISS)
-            if cached is not _MISS:
-                self.cache_hits += 1
-                self._memo.move_to_end(key)
-                return cached
-            self.cache_misses += 1
-            vector = self._memo.get((s, fault_key), _MISS)
-            if vector is not _MISS:
-                # A batched wave already paid the traversal; index it.
-                # (A peek, not a vector-cache miss: pair queries do not
-                # populate vectors, so only hits are counted here.)
-                self.vector_hits += 1
-                self._memo.move_to_end((s, fault_key))
-                result = vector[t]
-                self._memo_put(key, result)
-                return result
-        base = self.base_distances(s)[t]
-        if not self.faults_touch_pair(s, t, fault_key):
-            result = base
-        else:
-            # Fourth layer: a small orphaned region is patched (and
-            # the whole vector cached) instead of traversing at all.
-            vector = self.try_delta(s, fault_key)
-            if vector is not None:
-                result = vector[t]
-            else:
-                with self._masked(fault_key) as mask:
-                    if self.weighted:
-                        result = csr_weighted_distance(self.csr, mask,
-                                                       s, t)
-                    else:
-                        result = csr_hop_distance(self.csr, mask, s, t)
-        self._memo_put((s, t, fault_key), result)
-        return result
-
     def cache_info(self) -> CacheInfo:
-        """A frozen :class:`CacheInfo` snapshot of the shared LRU memo.
+        """A frozen :class:`CacheInfo` snapshot of the row cache.
 
-        Attribute access (``info.hits``) is canonical; the PR-2
-        mapping idiom (``info["hits"]``, ``dict(info)``) keeps
+        Attribute access (``info.vector_hits``) is canonical; the
+        mapping idiom (``info["vector_hits"]``, ``dict(info)``) keeps
         working via :class:`CacheInfo`'s ``__getitem__`` / ``keys``.
         When :mod:`repro.obs` is enabled, the snapshot is also
         mirrored into the metrics registry (see
         :meth:`CacheInfo.publish`).
         """
         info = CacheInfo(
-            hits=self.cache_hits,
-            misses=self.cache_misses,
-            evictions=self.pair_evictions,
             vector_hits=self.vector_hits,
             vector_misses=self.vector_misses,
             vector_evictions=self.vector_evictions,
@@ -1038,8 +897,6 @@ class ScenarioEngine:
         return (
             f"ScenarioEngine(n={self.csr.n}, m={self.csr.m}, "
             f"weighted={self.weighted}, "
-            f"pairs={self.cache_hits}h/{self.cache_misses}m/"
-            f"{self.pair_evictions}e, "
             f"vectors={self.vector_hits}h/{self.vector_misses}m/"
             f"{self.vector_evictions}e, "
             f"delta={self.delta_hits}h/{self.delta_fallbacks}f)"
@@ -1083,19 +940,18 @@ class ScenarioEngine:
             return [self.base_distances(s) for s in sources]
         out: List[Optional[Sequence[int]]] = [None] * len(sources)
         pending: Dict[int, List[int]] = {}
-        memo_max = self._memo_max
+        memo_get = self._memo.get
         for i, s in enumerate(sources):
             if s in pending:
                 pending[s].append(i)
                 continue
-            if memo_max:
-                key = (s, fault_key)
-                cached = self._memo.get(key, _MISS)
-                if cached is not _MISS:
-                    self.vector_hits += 1
-                    self._memo.move_to_end(key)
-                    out[i] = cached
-                    continue
+            key = (s, fault_key)
+            cached = memo_get(key)
+            if cached is not None:
+                self.vector_hits += 1
+                self._memo.move_to_end(key)
+                out[i] = cached
+                continue
             # One index list per *distinct* uncached source — allocation
             # proportional to the output, not to the loop trip count.
             pending[s] = [i]  # reprolint: disable=hot-loop-alloc
@@ -1117,7 +973,7 @@ class ScenarioEngine:
                 # Misses count sources the wave actually traverses
                 # (patched sources never traverse), matching the
                 # planner path and peek_vector's documented contract.
-                if memo_max:
+                if self._memo_max:
                     self.vector_misses += len(waving)
                 with self._masked(fault_key) as mask:
                     rows = self._wave(mask, waving)
@@ -1200,23 +1056,3 @@ class ScenarioEngine:
                     if t != s and dist_g[t] != dist_h[t]:
                         bad.append((faults, s, t, dist_g[t], dist_h[t]))
         return bad
-
-    # ------------------------------------------------------------------
-    # generic per-scenario evaluation
-    # ------------------------------------------------------------------
-    def run(self, evaluator: Callable, scenarios: Iterable[Iterable[Edge]]
-            ) -> List[ScenarioResult]:
-        """Apply ``evaluator(view, faults)`` to every scenario.
-
-        ``view`` is the masked CSR view of ``G \\ F``; it aliases the
-        engine's scratch mask, so it is only valid for the duration of
-        the evaluator call — evaluators must not stash views for
-        later.  Results align with the input order.
-        """
-        out = []
-        for i, faults in enumerate(scenarios):
-            f = _canonical(faults)
-            with self._masked(f) as mask:
-                view = CSRFaultView._adopt(self.csr, frozenset(f), mask)
-                out.append(ScenarioResult(i, f, evaluator(view, f)))
-        return out

@@ -16,8 +16,9 @@ symmetry is fine for the base set because correctness never depended
 on tiebreaking).  The perturbed weights are materialised into a flat
 per-arc array once (see :meth:`repro.graphs.csr.CSRGraph.with_arc_weights`),
 so every canonical tree is computed by the flat Dijkstra kernel, and
-restoration queries run through a :class:`ScenarioEngine` — shared
-base distances, tree fault indices and the replacement-distance memo.
+restoration queries run through a :class:`~repro.query.session.Session`
+over one :class:`ScenarioEngine` — shared base distances, tree fault
+indices, and the row cache behind each replacement distance.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from typing import Dict, Iterator, Optional, Tuple
 
 from repro.exceptions import DisconnectedError, GraphError
 from repro.graphs.base import Edge, Graph, canonical_edge
+from repro.query import DistanceQuery, Session
 from repro.scenarios.engine import ScenarioEngine
 from repro.spt.bfs import UNREACHABLE
 from repro.spt.trees import ShortestPathTree
@@ -45,16 +47,15 @@ class BaseSet:
     engine:
         Optional shared (unweighted) :class:`ScenarioEngine` over
         ``graph``; one is built if absent.  Restoration queries reuse
-        its base distance vectors, subtree interval indices, and
-        scenario memo.
+        its base distance vectors, subtree interval indices, and row
+        cache.
     """
 
     def __init__(self, graph: Graph, seed: int = 0,
                  engine: Optional[ScenarioEngine] = None):
         self._graph = graph
-        if engine is not None and engine.graph is not graph:
-            raise GraphError("engine was built over a different graph")
-        self._engine = engine if engine is not None else ScenarioEngine(graph)
+        self._session = Session.adopt(graph, engine=engine)
+        self._engine = self._session.engine
         n = max(graph.n, 2)
         rng = random.Random(seed)
         big = n ** 6
@@ -139,7 +140,7 @@ class BaseSet:
         direct = self.canonical(s, t)
         if direct is not None and direct.avoids([e]):
             return direct
-        target = self._engine.pair_replacement_distance(s, t, [e])
+        target = self._session.answer_one(DistanceQuery(s, t, (e,))).value
         if target == UNREACHABLE:
             raise DisconnectedError(s, t, [e])
         tree_s = self._tree(s)

@@ -15,36 +15,31 @@ tiebreaking-sensitive, which makes it directly algorithmic:
   Theorem 28, here exposed for weighted graphs.
 
 Both run on a (shared or per-call) weighted
-:class:`~repro.scenarios.engine.ScenarioEngine`: base and per-fault
-distance vectors come from the flat-array Dijkstra kernels, the
-per-candidate distance vectors of the lemma checker are cached across
-the middle-edge sweep, and the perturbed-unique trees of the restorer
-are materialised into flat antisymmetric weight arrays once per seed.
-Pass the same ``engine`` across calls against one graph to share all
-of that state — exactly the "one base graph, many fault scenarios"
-amortisation the engine exists for.
+:class:`~repro.scenarios.engine.ScenarioEngine`, adopted through
+:meth:`Session.adopt <repro.query.session.Session.adopt>`: base and
+per-fault distance vectors come from the flat-array Dijkstra kernels,
+the lemma checker asks the session for its replacement distance as a
+:class:`~repro.query.queries.DistanceQuery` and caches its
+per-candidate distance vectors across the middle-edge sweep, and the
+perturbed-unique trees of the restorer are materialised into flat
+antisymmetric weight arrays once per seed.  Pass the same ``engine``
+across calls against one graph to share all of that state — exactly
+the "one base graph, many fault scenarios" amortisation the engine
+exists for.
 """
 
 from __future__ import annotations
 
 from typing import List, Optional, Tuple
 
-from repro.exceptions import DisconnectedError, GraphError
+from repro.exceptions import DisconnectedError
 from repro.graphs.base import Edge, canonical_edge
+from repro.query import DistanceQuery, Session
 from repro.scenarios.engine import ScenarioEngine
 from repro.spt.bfs import UNREACHABLE
 from repro.spt.dijkstra import extract_path
 from repro.spt.paths import Path
 from repro.weighted.graph import WeightedGraph
-
-
-def _engine_for(wg: WeightedGraph,
-                engine: Optional[ScenarioEngine]) -> ScenarioEngine:
-    if engine is None:
-        return ScenarioEngine(wg)
-    if engine.graph is not wg:
-        raise GraphError("engine was built over a different graph")
-    return engine
 
 
 def weighted_restoration_lemma_holds(wg: WeightedGraph, s: int, t: int,
@@ -66,11 +61,11 @@ def weighted_restoration_lemma_holds(wg: WeightedGraph, s: int, t: int,
     e = canonical_edge(*e)
     a, b = e
     w_e = wg.weight(a, b)
-    engine = _engine_for(wg, engine)
-    # Through the pair query, not a full vector: the touch filter
-    # answers off-path faults in O(1), the memo answers repeats, and
-    # the masked traversal early-exits at t.
-    target = engine.pair_replacement_distance(s, t, (e,))
+    session = Session.adopt(wg, engine=engine)
+    engine = session.engine
+    # Through the planner's pair ladder: the touch filter answers
+    # off-path faults in O(|F|), and a cached row answers repeats.
+    target = session.answer_one(DistanceQuery(s, t, (e,))).value
     if target == UNREACHABLE:
         return True
     dist_s = engine.base_distances(s)
@@ -130,7 +125,7 @@ def restore_via_middle_edge(wg: WeightedGraph, s: int, t: int,
     Raises :class:`DisconnectedError` when ``e`` cuts the pair.
     """
     e = canonical_edge(*e)
-    engine = _engine_for(wg, engine)
+    engine = Session.adopt(wg, engine=engine).engine
     pcsr, _scale = engine.perturbed_csr(seed)
     dist_s, parent_s = engine.perturbed_sssp(s, seed)
     dist_t, parent_t = engine.perturbed_sssp(t, seed)

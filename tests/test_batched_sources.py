@@ -209,9 +209,9 @@ def test_engine_evaluate_pairs_matches_per_pair(case):
     ] + [(sources[0], g.n - 1, ())]
     batched = [a.value for a in Session(g).answer(
         DistanceQuery(s, t, f) for s, t, f in stream)]
-    per_pair_engine = ScenarioEngine(g)
+    per_pair_session = Session(g)
     per_pair = [
-        per_pair_engine.pair_replacement_distance(s, t, f)
+        per_pair_session.answer_one(DistanceQuery(s, t, f)).value
         for s, t, f in stream
     ]
     naive = [
@@ -279,8 +279,10 @@ class TestEngineVectorCache:
         faults = [next(iter(g.edges()))]
         engine.source_vectors([0], faults)
         before = engine.cache_info()["vector_hits"]
-        d = engine.pair_replacement_distance(0, g.n - 1, faults)
-        assert d == bfs_distances(g.without(faults), 0)[g.n - 1]
+        d = Session(engine=engine).answer_one(
+            DistanceQuery(0, g.n - 1, faults))
+        assert d.value == bfs_distances(g.without(faults), 0)[g.n - 1]
+        assert d.provenance.detail == "vector-cache"
         assert engine.cache_info()["vector_hits"] == before + 1
 
     def test_shared_eviction_policy_and_counters(self):
@@ -293,12 +295,15 @@ class TestEngineVectorCache:
         info = engine.cache_info()
         assert info["size"] == 3
         assert info["vector_evictions"] == 2
-        # pair entries now churn the same LRU
-        for e in list(g.edges())[:5]:
-            engine.pair_replacement_distance(0, 4, [e])
-        info = engine.cache_info()
-        assert info["size"] == 3
-        assert info["vector_evictions"] + info["evictions"] == 7
+        # pair answers index the cached rows and book no entry of
+        # their own, so they churn nothing
+        session = Session(engine=engine)
+        for e in list(g.edges())[2:5]:
+            a = session.answer_one(DistanceQuery(0, 4, [e]))
+            assert a.cached
+            assert a.value == bfs_distances(g.without([e]), 0)[4]
+        assert engine.cache_info()["size"] == 3
+        assert engine.cache_info()["vector_evictions"] == 2
 
     def test_memoize_zero_disables_vector_cache(self):
         g = generators.cycle(6)
@@ -332,9 +337,9 @@ class TestEngineVectorCache:
 
     def test_repr_carries_counters(self):
         engine = ScenarioEngine(generators.cycle(5))
-        engine.pair_replacement_distance(0, 2, [(0, 1)])
+        engine.source_vectors([0], [(0, 1)])
         text = repr(engine)
-        assert "pairs=0h/1m" in text and "vectors=" in text
+        assert "vectors=0h/1m/0e" in text and "pairs=" not in text
 
 
 class TestBatchedApsp:

@@ -271,11 +271,14 @@ class TestEngineDelta:
         scenarios = (random_fault_sets(g, 2, 6, seed=3)
                      + clustered_fault_sets(g, 3, 6, seed=4))
         on, off = ScenarioEngine(g), ScenarioEngine(g, delta=False)
+        ask_on, ask_off = Session(engine=on), Session(engine=off)
         for F in scenarios:
             assert on.source_vectors([0, 5, 9], F) == \
                 off.source_vectors([0, 5, 9], F)
-            assert on.pair_replacement_distance(3, g.n - 1, F) == \
-                off.pair_replacement_distance(3, g.n - 1, F)
+            q = DistanceQuery(3, g.n - 1, F)
+            assert ask_on.answer_one(q).value == \
+                ask_off.answer_one(q).value == \
+                bfs_distances(g.without(F), 3)[g.n - 1]
         assert on.delta_hits + on.delta_fallbacks > 0
 
     def test_adopt_base_tree_validates(self, grid4, grid_scheme):

@@ -164,6 +164,31 @@ class TestCli:
         assert "batched waves" in out
         assert "Session(" in out
 
+    def test_query_and_stats_connect_to_a_server(self, capsys):
+        # repro query --connect streams through a live server, and
+        # repro stats --connect reads its LRU rows, vector-cache and
+        # delta counters back over the service protocol.
+        from repro.cli import _cache_line, main
+        from repro.query import Session
+        from repro.service import BackgroundServer
+
+        backend = Session(generators.grid(4, 4))
+        with BackgroundServer(backend) as server:
+            host, port = server.address
+            address = f"{host}:{port}"
+            assert main(["query", "--family", "grid", "--size", "4",
+                         "--pairs", "5", "--scenarios", "4",
+                         "--connect", address]) == 0
+            out = capsys.readouterr().out
+            assert "service: connected to" in out
+            assert "engine LRU: " in out and " rows, vector cache " in out
+            assert main(["stats", "--connect", address]) == 0
+            out = capsys.readouterr().out
+            info = backend.cache_info()
+        assert info.size > 0
+        assert f"backend LRU: {_cache_line(info)}" in out
+        assert "counters: " in out
+
     def test_family_choices_cover_by_name(self):
         from repro.cli import FAMILIES
 

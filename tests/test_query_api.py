@@ -3,7 +3,7 @@
 Covers the algebra contract (canonical fault keys, frozen value
 objects), planner validation (mixed weightedness must raise
 QueryError, never silently serve the wrong kernels), answer equality
-against the engine's per-call paths, provenance consistency with
+against the naive BFS oracle, provenance consistency with
 cache_info() deltas, and the target-side batching cost model.
 """
 
@@ -40,27 +40,22 @@ def _quiet_engine(graph, **kwargs) -> ScenarioEngine:
     return ScenarioEngine(graph, **kwargs)
 
 
-def _reference_value(engine, q):
-    """The per-call engine answer for one query (connectivity from a
-    naive fault view)."""
-    if isinstance(q, DistanceQuery):
-        return engine.pair_replacement_distance(
-            q.source, q.target, q.faults
-        )
-    if isinstance(q, PairQuery):
-        return PairReport(
-            base=engine.base_distances(q.source)[q.target],
-            distance=engine.pair_replacement_distance(
-                q.source, q.target, q.faults
-            ),
-        )
-    if isinstance(q, VectorQuery):
-        return engine.source_vector(q.source, q.faults)
-    if isinstance(q, EccentricityQuery):
-        vec = engine.source_vector(q.source, q.faults)
-        return UNREACHABLE if UNREACHABLE in vec else max(vec)
+def _reference_value(graph, q):
+    """The naive oracle for one query: BFS over the fault view (and
+    the view's own connectivity check)."""
+    view = graph.without(q.faults)
     if isinstance(q, ConnectivityQuery):
-        return engine.graph.without(q.faults).is_connected()
+        return view.is_connected()
+    dist = bfs_distances(view, q.source)
+    if isinstance(q, DistanceQuery):
+        return dist[q.target]
+    if isinstance(q, PairQuery):
+        return PairReport(base=bfs_distances(graph, q.source)[q.target],
+                          distance=dist[q.target])
+    if isinstance(q, VectorQuery):
+        return dist
+    if isinstance(q, EccentricityQuery):
+        return UNREACHABLE if UNREACHABLE in dist else max(dist)
     raise AssertionError(q)
 
 
@@ -203,11 +198,10 @@ class TestAnswerEquality:
             ]
         session = Session(g)
         answers = session.answer(stream)
-        reference = _quiet_engine(g)
         assert len(answers) == len(stream)
         for q, a in zip(stream, answers):
             assert a.query is q
-            assert a.value == _reference_value(reference, q)
+            assert a.value == _reference_value(g, q)
 
     def test_disconnecting_faults(self):
         g = generators.path(4)
@@ -255,24 +249,37 @@ class TestProvenanceAndCaches:
         before = dict(session.cache_info())
         first = session.answer(stream)
         mid = dict(session.cache_info())
-        # every pair query either hit or missed the pair memo exactly
-        # once; no pair was cached yet, so misses == pair queries
-        n_pairs = sum(isinstance(q, DistanceQuery) for q in stream)
-        assert mid["misses"] - before["misses"] == n_pairs
-        assert mid["hits"] - before["hits"] == 0
+        waves = session.stats.waves
+        # nothing was cached yet: no hit, and one counted miss per
+        # distinct (F, origin) row the waves traversed
+        assert mid["vector_hits"] == before["vector_hits"]
         assert all(not a.cached for a in first)
+
+        def waved_row(a):
+            q = a.query
+            flip = (isinstance(q, DistanceQuery)
+                    and a.provenance.side == "target")
+            return q.fault_key, q.target if flip else q.source
+
+        waved = {waved_row(a) for a in first if a.waved}
+        assert mid["vector_misses"] - before["vector_misses"] == len(waved)
         second = session.answer(stream)
         after = dict(session.cache_info())
-        assert all(a.cached for a in second)
-        # replayed pair queries are pure pair-memo hits...
-        assert after["hits"] - mid["hits"] == n_pairs
-        assert after["misses"] == mid["misses"]
-        # ...and replayed vector/eccentricity queries are vector-cache
-        # hits, one counted hit per replayed vector-backed answer.
-        n_vec = sum(isinstance(q, (VectorQuery, EccentricityQuery))
-                    for q in stream)
-        assert after["vector_hits"] - mid["vector_hits"] == n_vec
+        # the replay makes no new wave, no new patch and no new miss:
+        # every answer indexes a cached row, or is a touch-filter
+        # verdict for a pair the filter already served...
+        assert session.stats.waves == waves
         assert after["vector_misses"] == mid["vector_misses"]
+        assert after["delta_hits"] == mid["delta_hits"]
+        for a, b in zip(first, second):
+            assert b.value == a.value
+            assert b.cached or (b.provenance.source == "filter"
+                                and a.provenance.source == "filter")
+        assert all(b.cached for b in second
+                   if isinstance(b.query, (VectorQuery, EccentricityQuery)))
+        # ...and each cache answer is one counted vector-cache hit.
+        assert after["vector_hits"] - mid["vector_hits"] == sum(
+            b.cached for b in second)
 
     def test_wave_provenance_records_kernel_and_size(self, er_medium):
         g = er_medium
@@ -306,15 +313,17 @@ class TestProvenanceAndCaches:
     def test_cache_info_is_frozen_dataclass(self, grid4):
         info = _quiet_engine(grid4).cache_info()
         assert isinstance(info, CacheInfo)
-        assert info.hits == 0 and info["hits"] == 0
+        assert info.vector_hits == 0 and info["vector_hits"] == 0
         assert dict(info)["maxsize"] == info.maxsize
-        assert "hits" in info and "nope" not in info
+        assert "vector_hits" in info and "nope" not in info
         assert list(info) == list(info.keys())
         with pytest.raises(KeyError):
             info["nope"]
         with pytest.raises(Exception):
-            info.hits = 5
-        assert info == dict(info)  # PR-2 raw-dict idiom still compares
+            info.vector_hits = 5
+        assert info == dict(info)  # the raw-dict idiom still compares
+        # the LRU holds rows only: no pair-memo counters
+        assert not {"hits", "misses", "evictions"} & set(info)
 
     def test_missing_scheme_raises_before_any_kernel_runs(self, grid4):
         session = Session(grid4)
@@ -357,9 +366,8 @@ class TestTargetSideBatching:
         assert group.side == "target"
         assert group.cost_target == 1 and group.cost_source == 8
         answers = planner.execute(plan)
-        ref = _quiet_engine(g)
         for q, a in zip(stream, answers):
-            assert a.value == _reference_value(ref, q)
+            assert a.value == _reference_value(g, q)
         waved = [a for a in answers if a.waved]
         assert all(a.provenance.side == "target" for a in waved)
         assert group.wave_size <= 1  # at most the one target traversal

@@ -6,7 +6,7 @@ import pytest
 
 from repro.core.restoration import midpoint_scan, tree_fault_free_vertices
 from repro.core.scheme import BFSTiebreaking, RestorableTiebreaking
-from repro.exceptions import GraphError
+from repro.exceptions import GraphError, QueryError
 from repro.graphs import generators
 from repro.graphs.base import Graph
 from repro.preservers.verification import preserver_violations
@@ -19,7 +19,6 @@ from repro.query import (
 )
 from repro.scenarios import (
     ScenarioEngine,
-    ScenarioResult,
     TreeFaultIndex,
     all_fault_subsets,
     random_fault_sets,
@@ -127,20 +126,20 @@ class TestScenarioEngine:
 
     def test_pair_query_validates_vertices(self, torus):
         engine = ScenarioEngine(torus)
+        session = Session(engine=engine)
         for s, t in ((0, -1), (0, torus.n), (-2, 5), (torus.n + 3, 5)):
-            with pytest.raises(GraphError):
-                engine.pair_replacement_distance(s, t, [(0, 1)])
+            with pytest.raises(QueryError):
+                session.answer_one(DistanceQuery(s, t, [(0, 1)]))
             with pytest.raises(GraphError):
                 engine.faults_touch_pair(s, t, [(0, 1)])
 
     def test_out_of_range_fault_edges_tolerated(self, torus):
-        # Fault edges naming unknown vertices behave like absent edges,
-        # matching the without() convention.
+        # At the engine, fault edges naming unknown vertices behave
+        # like absent edges, matching the without() convention (the
+        # planner rejects them before any kernel runs).
         engine = ScenarioEngine(torus)
         base = bfs_distances(torus, 0)[12]
-        assert engine.pair_replacement_distance(
-            0, 12, [(0, 999), (-5, 3)]
-        ) == base
+        assert engine.source_vector(0, [(0, 999), (-5, 3)])[12] == base
         assert not engine.faults_touch_pair(0, 12, [(0, 999)])
 
     def test_scratch_mask_restored_between_scenarios(self, torus):
@@ -153,7 +152,7 @@ class TestScenarioEngine:
         # Interleave different query types; a leaked mask bit from any
         # earlier scenario would corrupt a later answer.
         for f, want in zip(scenarios, expected):
-            assert engine.pair_replacement_distance(0, 12, f) == want
+            assert session.answer_one(DistanceQuery(0, 12, f)).value == want
             assert session.answer_one(ConnectivityQuery(f)).value == (
                 torus.without(f).is_connected()
             )
@@ -161,8 +160,9 @@ class TestScenarioEngine:
 
     def test_disconnected_base_pair(self):
         g = Graph(4, [(0, 1), (2, 3)])
-        engine = ScenarioEngine(g)
-        assert engine.pair_replacement_distance(0, 3, [(0, 1)]) == UNREACHABLE
+        answer = Session(g).answer_one(DistanceQuery(0, 3, [(0, 1)]))
+        assert answer.value == UNREACHABLE
+        assert bfs_distances(g.without([(0, 1)]), 0)[3] == UNREACHABLE
 
     def test_touch_filter_has_no_false_negatives(self, sparse):
         engine = ScenarioEngine(sparse)
@@ -226,49 +226,31 @@ class TestScenarioEngine:
         assert fast == ref
         assert fast  # the tree really does lose distances
 
-    def test_run_serial_and_results_aligned(self, torus):
-        engine = ScenarioEngine(torus)
-        scenarios = random_fault_sets(torus, 1, 12, seed=5)
-        results = engine.run(_surviving_edges, scenarios)
-        assert [r.index for r in results] == list(range(12))
-        for r in results:
-            assert isinstance(r, ScenarioResult)
-            assert r.value == torus.m - len(r.faults)
+    def test_wave_failure_restores_scratch_mask(self, torus, monkeypatch):
+        # A kernel failing inside a source_vectors wave propagates, and
+        # the scratch mask the wave was loaned is restored for the
+        # next query.
+        engine = ScenarioEngine(torus, delta=False)
+        masked = []
 
-    def test_run_evaluator_may_reenter_engine(self):
-        # An evaluator calling back into the engine must not corrupt
-        # the scenario view it holds (the scratch mask is loaned out),
-        # and the inner query must see only its own fault set.
-        g = Graph(4, [(0, 1), (1, 2), (0, 2), (0, 3), (2, 3)])
-        engine = ScenarioEngine(g)
+        class Broken:
+            name = "broken"
 
-        def reentrant(view, faults):
-            inner = engine.pair_replacement_distance(0, 1, faults)
-            outer = bfs_distances(view, 0)[1]
-            return (inner, outer)
+            @staticmethod
+            def csr_bfs_distances_many(csr, mask, sources):
+                masked.append(mask.count(0))
+                raise RuntimeError("kernel failed")
 
-        (result,) = engine.run(reentrant, [[(0, 1)]])
-        assert result.value == (2, 2)  # both see G \ {(0, 1)}
+        monkeypatch.setattr("repro.scenarios.engine.backend_for",
+                            lambda kernel, csr, batch=1: Broken)
+        with pytest.raises(RuntimeError, match="kernel failed"):
+            engine.source_vectors([0, 7], [(0, 1)])
+        assert masked == [2]  # both arcs of the fault were masked
         assert all(engine._scratch_mask)
+        monkeypatch.undo()
+        assert engine.source_vector(0, [(0, 1)]) == \
+            bfs_distances(torus.without([(0, 1)]), 0)
 
-    def test_run_evaluator_exception_propagates(self, torus):
-        # A buggy evaluator fails loudly, and the scratch mask it was
-        # loaned is restored for the next query.
-        engine = ScenarioEngine(torus)
-        scenarios = random_fault_sets(torus, 1, 4, seed=7)
-        with pytest.raises(TypeError):
-            engine.run(_buggy_evaluator, scenarios)
-        assert all(engine._scratch_mask)
-
-
-def _surviving_edges(view, faults):
-    """Evaluator: the edge count of the scenario's survivor graph."""
-    return view.m
-
-
-def _buggy_evaluator(view, faults):
-    """Evaluator raising the classic evaluator bug."""
-    return view.m + "oops"  # TypeError
 
 # ----------------------------------------------------------------------
 # CacheInfo aggregation
@@ -277,18 +259,15 @@ class TestCacheInfoMerge:
     def test_merge_sums_counters_and_unions_backends(self):
         from repro.scenarios import CacheInfo
 
-        a = CacheInfo(hits=3, misses=1, evictions=0, vector_hits=2,
-                      vector_misses=5, vector_evictions=1, delta_hits=4,
-                      delta_fallbacks=2, size=7, maxsize=64,
+        a = CacheInfo(vector_hits=2, vector_misses=5, vector_evictions=1,
+                      delta_hits=4, delta_fallbacks=2, size=7, maxsize=64,
                       wave_backends=(("pyloops", 3), ("vectorized", 1)))
-        b = CacheInfo(hits=10, misses=2, evictions=3, vector_hits=0,
-                      vector_misses=1, vector_evictions=0, delta_hits=0,
-                      delta_fallbacks=1, size=5, maxsize=64,
+        b = CacheInfo(vector_hits=0, vector_misses=1, vector_evictions=3,
+                      delta_hits=0, delta_fallbacks=1, size=5, maxsize=64,
                       wave_backends=(("vectorized", 6),))
         merged = CacheInfo.merge([a, b])
-        assert merged.hits == 13 and merged.misses == 3
-        assert merged.evictions == 3
         assert merged.vector_hits == 2 and merged.vector_misses == 6
+        assert merged.vector_evictions == 4
         assert merged.delta_hits == 4 and merged.delta_fallbacks == 3
         assert merged.size == 12 and merged.maxsize == 128
         assert merged.wave_backends == (
@@ -304,9 +283,8 @@ class TestCacheInfoMerge:
 
         zero = CacheInfo.merge([])
         assert dict(zero) == dict(CacheInfo(
-            hits=0, misses=0, evictions=0, vector_hits=0,
-            vector_misses=0, vector_evictions=0, delta_hits=0,
-            delta_fallbacks=0, size=0, maxsize=0,
+            vector_hits=0, vector_misses=0, vector_evictions=0,
+            delta_hits=0, delta_fallbacks=0, size=0, maxsize=0,
         ))
 
     def test_merge_matches_live_engines(self, torus):

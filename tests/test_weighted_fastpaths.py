@@ -142,9 +142,10 @@ def test_weighted_engine_matches_reference(case):
     s, t = 0, wg.n - 1
     view = wg.without(faults)
     ref, _ = dijkstra_reference(view, s, view.arc_weight)
-    assert engine.pair_replacement_distance(s, t, faults) == \
+    session = Session(engine=engine)
+    assert session.answer_one(DistanceQuery(s, t, faults)).value == \
         ref.get(t, UNREACHABLE)
-    assert Session(engine=engine).answer_one(
+    assert session.answer_one(
         VectorQuery(s, faults)).value == _vector(ref, wg.n)
 
 
@@ -161,6 +162,12 @@ def test_weighted_touch_filter_no_false_negatives(case):
         assert ref.get(t, UNREACHABLE) == engine.base_distances(s)[t]
 
 
+def _reference_distance(wg, faults, s, t):
+    view = wg.without(faults)
+    ref, _ = dijkstra_reference(view, s, view.arc_weight)
+    return ref.get(t, UNREACHABLE)
+
+
 class TestScenarioMemo:
     def _engine(self, memoize=4096):
         wg = WeightedGraph.random(30, 0.15, seed=4)
@@ -168,50 +175,82 @@ class TestScenarioMemo:
 
     def test_repeats_hit_and_match(self):
         wg, engine = self._engine()
-        scenarios = [((e),) for e in list(wg.edges())[:10]]
-        stream = scenarios * 3
+        # the first edges, plus edges on a shortest 0 ~> n-1 path, so
+        # both the touch filter and the row cache serve repeats
+        touching = [e for e in wg.edges()
+                    if engine.faults_touch_pair(0, wg.n - 1, [e])]
+        scenarios = [(e,) for e in dict.fromkeys(list(wg.edges())[:5]
+                                                 + touching[:5])]
         session = Session(engine=engine)
-        dists = [session.answer_one(DistanceQuery(0, wg.n - 1, f)).value
-                 for f in stream]
-        info = engine.cache_info()
-        assert info["misses"] == len(scenarios)
-        assert info["hits"] == 2 * len(scenarios)
+        first = [session.answer_one(DistanceQuery(0, wg.n - 1, f))
+                 for f in scenarios]
+        info, waves = engine.cache_info(), session.stats.waves
+        repeats = [session.answer_one(DistanceQuery(0, wg.n - 1, f))
+                   for f in scenarios * 2]
+        # repeats make no new wave, patch or miss: each indexes the
+        # row its first answer cached, or is a touch-filter verdict
+        after = engine.cache_info()
+        assert session.stats.waves == waves
+        assert after.vector_misses == info.vector_misses
+        assert after.delta_hits == info.delta_hits
+        assert all(a.provenance.source in ("cache", "filter")
+                   for a in repeats)
+        assert after.vector_hits - info.vector_hits == sum(
+            a.cached for a in repeats)
+        dists = [a.value for a in first + repeats]
         assert dists[:len(scenarios)] * 3 == dists
+        assert dists[:len(scenarios)] == [
+            _reference_distance(wg, f, 0, wg.n - 1) for f in scenarios]
 
     def test_orientation_and_duplicates_canonicalised(self):
         wg, engine = self._engine()
         (u, v) = next(iter(wg.edges()))
-        d1 = engine.pair_replacement_distance(0, wg.n - 1, [(u, v)])
-        d2 = engine.pair_replacement_distance(0, wg.n - 1,
-                                              [(v, u), (u, v)])
-        assert d1 == d2
-        assert engine.cache_info()["hits"] == 1
+        session = Session(engine=engine)
+        d1 = session.answer_one(DistanceQuery(0, wg.n - 1, [(u, v)]))
+        misses = engine.cache_info().vector_misses
+        d2 = session.answer_one(DistanceQuery(0, wg.n - 1,
+                                              [(v, u), (u, v)]))
+        assert d1.value == d2.value == \
+            _reference_distance(wg, [(u, v)], 0, wg.n - 1)
+        assert d2.provenance.source in ("cache", "filter")
+        assert engine.cache_info().vector_misses == misses
+        # one row per canonical fault set, whatever its spelling
+        row = engine.source_vector(0, [(u, v)])
+        hits = engine.cache_info().vector_hits
+        assert engine.source_vector(0, [(v, u), (u, v)]) is row
+        assert engine.cache_info().vector_hits == hits + 1
 
     def test_bounded_eviction(self):
         wg, engine = self._engine(memoize=4)
         edges = list(wg.edges())[:8]
+        session = Session(engine=engine)
         for e in edges:
-            engine.pair_replacement_distance(0, wg.n - 1, [e])
-        assert engine.cache_info()["size"] == 4
+            session.answer_one(VectorQuery(0, [e]))
+        info = engine.cache_info()
+        assert info.size == 4
+        assert info.vector_evictions == 4
 
     def test_disabled(self):
         wg = WeightedGraph.random(30, 0.15, seed=4)
         # delta=False keeps the delta counters deterministically zero;
-        # the memo-disabled contract is what this test pins.
+        # the cache-disabled contract is what this test pins.
         engine = ScenarioEngine(wg, memoize=0, delta=False)
-        e = next(iter(wg.edges()))
-        for _ in range(3):
-            engine.pair_replacement_distance(0, wg.n - 1, [e])
+        e = next(e for e in wg.edges()
+                 if engine.faults_touch_pair(0, wg.n - 1, [e]))
+        session = Session(engine=engine)
+        dists = [session.answer_one(DistanceQuery(0, wg.n - 1, [e])).value
+                 for _ in range(3)]
+        assert dists == [_reference_distance(wg, [e], 0, wg.n - 1)] * 3
         info = engine.cache_info()
-        assert info == {
-            "hits": 0, "misses": 0, "evictions": 0,
+        assert {k: v for k, v in dict(info).items()
+                if k != "wave_backends"} == {
             "vector_hits": 0, "vector_misses": 0, "vector_evictions": 0,
             "delta_hits": 0, "delta_fallbacks": 0,
             "size": 0, "maxsize": 0,
-            # pair_replacement_distance runs single-source kernels, so
-            # no batched wave (and no backend tally) ever fires here
-            "wave_backends": (),
         }
+        # with no row cache, each repeat of a touched pair waves again
+        assert session.stats.waves == 3
+        assert sum(count for _, count in info.wave_backends) == 3
 
 
 class TestAntisymmetricEngine:
@@ -227,8 +266,9 @@ class TestAntisymmetricEngine:
         acsr = wg.csr().with_arc_weights(lambda u, v: asym[(u, v)])
         engine = ScenarioEngine(acsr)
         assert engine.weighted and not engine._symmetric_weights
-        assert engine.pair_replacement_distance(0, 2, [(0, 1)]) == 10
-        assert engine.pair_replacement_distance(0, 2, []) == 2
+        session = Session(engine=engine)
+        assert session.answer_one(DistanceQuery(0, 2, [(0, 1)])).value == 10
+        assert session.answer_one(DistanceQuery(0, 2, [])).value == 2
 
     @given(weighted_graphs_with_faults(max_faults=2))
     @settings(max_examples=40, **COMMON)
@@ -239,8 +279,8 @@ class TestAntisymmetricEngine:
         engine = ScenarioEngine(pcsr)
         mask = pcsr.without(faults)._as_csr()[1]
         s, t = 0, wg.n - 1
-        assert engine.pair_replacement_distance(s, t, faults) == \
-            csr_weighted_distance(pcsr, mask, s, t)
+        answer = Session(engine=engine).answer_one(DistanceQuery(s, t, faults))
+        assert answer.value == csr_weighted_distance(pcsr, mask, s, t)
 
     def test_symmetric_engine_keeps_filter(self):
         wg = WeightedGraph.random(20, 0.2, seed=3)
