@@ -8,7 +8,8 @@ Two experiments, one per amortisation axis of the batched layer:
   (:func:`repro.spt.batched.csr_bfs_distances_many`) advances all
   sources one level per sweep over the arc array via bit-packed
   frontiers.  Both sides are timed warm, after one untimed call whose
-  time is reported as ``first_call_s``.  Acceptance target: **>= 5x**.
+  time is reported as ``first_call_s``.  Acceptance target: **>= 5x**,
+  asserted on quick runs too.
 * **pair stream** (replacement-path traffic): ``(s, t, F)`` queries
   where many pairs share each fault set.  The baseline is a per-query
   loop, ``Session.answer_one`` on each
@@ -18,7 +19,8 @@ Two experiments, one per amortisation axis of the batched layer:
   stream) plans it by canonical fault set so each mask setup and each
   traversal wave serves every pair sharing that ``F``, caching the
   per-``(source, F)`` vectors it computes.  Acceptance target:
-  **>= 3x**.  Older ``batched_sources`` entries in the
+  **>= 3x**, asserted on full runs only: it was set for the full-run
+  sizes.  Older ``batched_sources`` entries in the
   ``BENCH_SUMMARY.json`` history timed a per-pair engine method that
   cached no rows; their pair-stream speedups do not compare with this
   baseline's.
@@ -241,8 +243,8 @@ def run_experiment(quick: bool, seed: int):
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--quick", action="store_true",
-                        help="small smoke run (CI): tiny graphs, no "
-                             "speedup assertion")
+                        help="small smoke run (CI): tiny graphs, only "
+                             "the many-source bar asserted")
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args(argv)
 
@@ -261,7 +263,7 @@ def main(argv=None) -> int:
     )
     emit_json("batched_sources", payload)
     failed = []
-    if not args.quick and many_speedup < 5.0:
+    if many_speedup < 5.0:
         failed.append(f"many-source: expected >= 5x, "
                       f"measured {many_speedup:.2f}x")
     if not args.quick and pair_speedup < 3.0:

@@ -14,9 +14,11 @@ batches, delta repairs — goes through the dispatch seam in
    instead of one loop iteration per arc — and must return
    bit-identical results.
 3. ``auto`` (the default) picks per call: the work of the call
-   (arcs x batch width) is compared against a calibrated per-kernel
-   threshold, so tiny graphs keep loop pricing and big batches get
-   the arrays.  No numpy?  Everything silently stays on the loops.
+   (arcs x batch width) is compared against the kernel's entry in
+   ``THRESHOLDS``, one read-only table measured by
+   ``benchmarks/bench_backends.py``, so tiny graphs keep loop pricing
+   and big batches get the arrays.  No numpy?  Everything silently
+   stays on the loops.
 
 Which backend served each answer is visible end to end: engine
 counters, per-answer provenance, session stats.
@@ -25,8 +27,7 @@ Run:  PYTHONPATH=src python examples/backends.py
 """
 
 from repro.analysis.experiments import timed
-from repro.backends import numpy_or_none, set_backend
-from repro.backends.dispatch import backend_for, calibrate, thresholds
+from repro.backends import THRESHOLDS, backend_for, numpy_or_none, set_backend
 from repro.graphs import generators
 from repro.query import Session, VectorQuery
 from repro.spt.batched import csr_bfs_distances_many
@@ -60,25 +61,20 @@ def main() -> None:
               f"{loop_s * 1e3:.1f} ms (vectorized unavailable)")
     set_backend(previous)
 
-    # --- auto dispatch reads a calibrated work table -----------------
+    # --- auto dispatch reads one measured work table ----------------
     # Work = arcs x batch width.  A wave on a tiny snapshot is cheap
     # enough that ndarray overhead would dominate, so auto keeps it on
     # the loops; the same wave here crosses the threshold.
-    table = thresholds()
+    threshold = THRESHOLDS["csr_bfs_distances_many"]
+    print(f"THRESHOLDS['csr_bfs_distances_many'] = {threshold:,} "
+          f"(the work at which auto prefers vectorized)")
     tiny = generators.gnm(200, 800, seed=7).csr()
     for label, snap, batch in (("tiny snapshot ", tiny, 1),
                                ("this snapshot ", csr, 96)):
         chosen = backend_for("csr_bfs_distances_many", snap, batch=batch)
         work = len(snap.indices) * batch
         print(f"  auto, {label} batch={batch:3d}: work {work:>9,} vs "
-              f"threshold {table['csr_bfs_distances_many']:>7,} "
-              f"-> {chosen.name}")
-    if has_numpy:
-        # Shipped thresholds were measured on the reference container;
-        # calibrate() re-measures the crossovers on *this* machine.
-        installed = calibrate(sizes=(200, 800), repeats=2)
-        print(f"  calibrate(): csr_bfs_distances_many threshold now "
-              f"{installed['csr_bfs_distances_many']:,}")
+              f"threshold {threshold:>7,} -> {chosen.name}")
 
     # --- provenance: who served what ---------------------------------
     session = Session(graph)

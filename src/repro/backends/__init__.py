@@ -20,11 +20,12 @@ call.  Two backends are registered:
 Backends are **bit-identical** by contract: exact int distances, the
 same ``UNREACHABLE`` sentinels, the same documented parent tie-breaks
 — enforced by the hypothesis cross-check suites parametrised over
-backends.  Selection is per call, from a calibrated work-size table
-(see :func:`~repro.backends.dispatch.backend_for`), and can be pinned
-with :func:`~repro.backends.dispatch.set_backend` or the
-``REPRO_BACKEND`` environment variable.  :func:`numpy_or_none` is the
-single gate for the optional numpy dependency across the package.
+backends.  Selection is per call, from one read-only measured
+work-size table (:data:`~repro.backends.dispatch.THRESHOLDS`, read by
+:func:`~repro.backends.dispatch.backend_for`), and can be pinned with
+:func:`~repro.backends.dispatch.set_backend`.  :func:`numpy_or_none`
+is the single gate for the optional numpy dependency across the
+package.
 """
 
 from repro.backends.api import (
@@ -37,32 +38,24 @@ from repro.backends.api import (
     row_eccentricity,
 )
 from repro.backends.dispatch import (
+    THRESHOLDS,
     backend_for,
-    backend_name_for,
-    calibrate,
     current_mode,
     kernel_impl,
-    reset_thresholds,
     set_backend,
-    set_thresholds,
-    thresholds,
 )
 
 __all__ = [
     "KERNEL_NAMES",
     "HopRow",
     "KernelBackend",
+    "THRESHOLDS",
     "UNREACHABLE",
     "backend_for",
-    "backend_name_for",
-    "calibrate",
     "check_source",
     "current_mode",
     "kernel_impl",
     "numpy_or_none",
-    "reset_thresholds",
     "row_eccentricity",
     "set_backend",
-    "set_thresholds",
-    "thresholds",
 ]

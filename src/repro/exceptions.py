@@ -123,9 +123,9 @@ class ServiceError(ReproError):
 class BackendError(ReproError):
     """The kernel-backend seam (:mod:`repro.backends`) was misconfigured.
 
-    Raised when an unknown backend name is requested (``set_backend``
-    argument or ``REPRO_BACKEND`` environment value), or when the
-    vectorized backend is *forced* while numpy is unavailable.  The
-    ``auto`` mode never raises — it silently falls back to the
-    pure-Python loops when numpy is absent.
+    Raised when :func:`~repro.backends.dispatch.set_backend` is given
+    an unknown backend name, or when the vectorized backend is
+    *forced* while numpy is unavailable.  The ``auto`` mode never
+    raises — it silently falls back to the pure-Python loops when
+    numpy is absent.
     """

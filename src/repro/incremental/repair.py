@@ -62,7 +62,7 @@ def csr_bfs_repair(csr: CSRGraph, mask: Optional[bytearray],
     surviving detour are *not* changed, only re-verified.
 
     Dispatching wrapper: the orphan set is materialised once (its
-    size feeds the calibrated dispatch table) and the call served by
+    size feeds the measured dispatch table) and the call served by
     the chosen kernel backend (:mod:`repro.backends`).
     """
     orph = list(orphans)

@@ -383,19 +383,14 @@ class Planner:
         # query (and populates the vector cache for later gathers).
         if wave:
             batch = list(wave)
-            # try_delta=False: the delta offers already ran above (the
-            # planner needs per-source attribution for provenance);
-            # re-offering here would re-estimate and double-count.
-            vectors = engine.source_vectors(batch, fault_key,
-                                            try_delta=False)
+            vectors = engine.source_vectors(batch, fault_key)
             rows.update(zip(batch, vectors))
             group.wave_size = len(batch)
             plan.waves += 1
         wave_of = Provenance(
             "wave", "masked-wave", kernel=kernel,
             side=group.side, wave_size=group.wave_size,
-            backend=(engine.wave_backend(group.wave_size)
-                     if group.wave_size else None),
+            backend=engine.last_wave_backend if group.wave_size else None,
         )
         repair_kernel = ("csr_dijkstra_repair" if engine.weighted
                          else "csr_bfs_repair")

@@ -455,8 +455,11 @@ class ScenarioEngine:
         self.delta_hits = 0
         self.delta_fallbacks = 0
         # Waves served per kernel backend (repro.backends) — surfaced
-        # through cache_info() and the Session stats.
+        # through cache_info() and the Session stats — and the backend
+        # the latest wave and repair ran on, which the planner stamps
+        # into provenance.
         self.wave_backends: Dict[str, int] = {}
+        self.last_wave_backend: Optional[str] = None
         self.last_repair_backend: Optional[str] = None
         # Perturbed-weight state (weighted mode): snapshot per seed,
         # SSSP result per (seed, source) — the amortised substrate of
@@ -849,32 +852,21 @@ class ScenarioEngine:
     # ------------------------------------------------------------------
     # kernel-backend seam
     # ------------------------------------------------------------------
-    def wave_backend(self, width: int = 1) -> str:
-        """Name of the backend a ``width``-source wave resolves to now.
-
-        A pure (side-effect-free) dispatch probe: the planner stamps it
-        into wave provenance without forcing a wave, and callers can
-        preview how :func:`repro.backends.set_backend` or the
-        calibrated thresholds would route a batch of ``width`` sources
-        on this engine's snapshot.
-        """
-        kernel = ("csr_weighted_distances_many" if self.weighted
-                  else "csr_bfs_distances_many")
-        return backend_for(kernel, self.csr, batch=width).name
-
     def _wave(self, mask: Optional[bytearray],
               sources: List[int]) -> List[Sequence[int]]:
         """One batched multi-source wave through the backend seam.
 
         Resolves the batched kernel for this engine (weighted or hop)
-        via :func:`repro.backends.dispatch.backend_for`, tallies the
-        serving backend into :attr:`wave_backends`, and returns the
-        distance rows aligned with ``sources``.
+        via :func:`repro.backends.dispatch.backend_for`, records the
+        serving backend as :attr:`last_wave_backend` and in the
+        :attr:`wave_backends` tally, and returns the distance rows
+        aligned with ``sources``.
         """
         kernel = ("csr_weighted_distances_many" if self.weighted
                   else "csr_bfs_distances_many")
         backend = backend_for(kernel, self.csr, batch=len(sources))
         name = backend.name
+        self.last_wave_backend = name
         self.wave_backends[name] = self.wave_backends.get(name, 0) + 1
         # The per-wave observability seam: one guarded branch when
         # disabled (the obs overhead contract), one histogram/counter/
@@ -903,30 +895,25 @@ class ScenarioEngine:
         )
 
     def source_vectors(self, sources: Iterable[int],
-                       faults: Iterable[Edge] = (), *,
-                       try_delta: bool = True) -> List[Sequence[int]]:
+                       faults: Iterable[Edge] = ()) -> List[Sequence[int]]:
         """Distance vectors for many sources under *one* fault set.
 
-        The many-source primitive: every source missing from the
-        per-``(source, F)`` vector cache is first offered to the
-        delta path (:meth:`try_delta` — a small orphaned region is
-        patched instead of traversed), and the remainder joins a
-        single batched wave
+        The many-source primitive — the cache, then one wave: sources
+        in the per-``(source, F)`` vector cache are answered without
+        traversing, and every other source joins a single batched wave
         (:func:`~repro.spt.batched.csr_bfs_distances_many`, or its
         weighted sibling) under one shared arc mask, so one sweep over
-        the arc array serves the whole batch; cached sources are
-        answered without traversing at all.  Results align with the
-        input order (duplicates included, served once).
-
-        ``try_delta=False`` skips the delta offer — the planner's
-        handshake: it runs :meth:`try_delta` itself first (it needs
-        per-source attribution for ``"delta"`` provenance), so the
-        wave remainder it passes here must not re-estimate or
-        double-count fallbacks.
+        the arc array serves the whole batch.  Results align with the
+        input order (duplicates included, served once).  The delta
+        path is not offered here: the planner runs :meth:`try_delta`
+        on its wave starts before it calls this method.  Afterwards
+        :attr:`last_wave_backend` names the backend of this call's
+        wave, or is ``None`` when every row came from a cache.
 
         Returned vectors are **read-only**: they may be shared with the
         engine's caches and with other callers.
         """
+        self.last_wave_backend = None
         sources = list(sources)
         fault_key = _canonical(faults)
         if not fault_key:
@@ -956,32 +943,18 @@ class ScenarioEngine:
             # proportional to the output, not to the loop trip count.
             pending[s] = [i]  # reprolint: disable=hot-loop-alloc
         if pending:
-            # Delta pass: sources whose orphaned region is small are
-            # patched (try_delta stores the vector); the rest share
-            # one batched wave.
-            waving: List[int] = []
-            for s in pending:
-                vector = self.try_delta(s, fault_key,
-                                        batch_hint=len(pending)) \
-                    if try_delta else None
-                if vector is not None:
-                    for i in pending[s]:
-                        out[i] = vector
-                else:
-                    waving.append(s)
-            if waving:
-                # Misses count sources the wave actually traverses
-                # (patched sources never traverse), matching the
-                # planner path and peek_vector's documented contract.
-                if self._memo_max:
-                    self.vector_misses += len(waving)
-                with self._masked(fault_key) as mask:
-                    rows = self._wave(mask, waving)
-                memo_put = self._memo_put
-                for s, row in zip(waving, rows):
-                    memo_put((s, fault_key), row)
-                    for i in pending[s]:
-                        out[i] = row
+            # Misses count the sources the wave traverses, matching
+            # peek_vector's documented contract.
+            if self._memo_max:
+                self.vector_misses += len(pending)
+            waving = list(pending)
+            with self._masked(fault_key) as mask:
+                rows = self._wave(mask, waving)
+            memo_put = self._memo_put
+            for s, row in zip(waving, rows):
+                memo_put((s, fault_key), row)
+                for i in pending[s]:
+                    out[i] = row
         return out
 
     def source_vector(self, source: int,

@@ -58,7 +58,7 @@ def csr_bfs_distances_many(csr: CSRGraph, mask: Optional[bytearray],
     BFS wave.
 
     Dispatching wrapper: the batch is materialised once (its width
-    feeds the calibrated dispatch table) and served by whichever
+    feeds the measured dispatch table) and served by whichever
     kernel backend (:mod:`repro.backends`) wins at this work size —
     the bit-packed loops below or the vectorized 2-D frontier matrix
     — with bit-identical results either way.

@@ -65,8 +65,8 @@ def csr_bfs_distances(csr: CSRGraph, mask: Optional[bytearray],
     An ``array('i')`` row, ``UNREACHABLE`` where cut off.
 
     Dispatching wrapper: the call is served by whichever kernel
-    backend (:mod:`repro.backends`) the calibrated table picks for
-    this snapshot's size — the loops below
+    backend (:mod:`repro.backends`) the measured dispatch table picks
+    for this snapshot's size — the loops below
     (:func:`csr_bfs_distances_loops`) or the vectorized sibling —
     with bit-identical results either way.
     """

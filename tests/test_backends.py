@@ -3,10 +3,10 @@
 Bit-identity of the vectorized kernels is pinned by the hypothesis
 suites (``test_csr_fastpaths``, ``test_batched_sources``,
 ``test_incremental``) parametrised over the ``backend`` fixture; this
-module covers the seam itself — mode precedence (pin > env > auto),
-the calibrated work thresholds, the numpy-absent fallback, protocol
-conformance of both backends, the CSR ndarray mirror's lifecycle, and
-the provenance/stats threading up through ``Session``.
+module covers the seam itself — mode precedence (pin > auto), the
+read-only measured work thresholds, the numpy-absent fallback,
+protocol conformance of both backends, the CSR ndarray mirror's
+lifecycle, and the provenance/stats threading up through ``Session``.
 """
 
 from __future__ import annotations
@@ -20,18 +20,15 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.backends import (
     KERNEL_NAMES,
+    THRESHOLDS,
     UNREACHABLE,
-    calibrate,
     current_mode,
     numpy_or_none,
-    reset_thresholds,
     row_eccentricity,
     set_backend,
-    set_thresholds,
-    thresholds,
 )
 from repro.backends import api as backends_api
-from repro.backends.dispatch import backend_for, backend_name_for, kernel_impl
+from repro.backends.dispatch import backend_for, kernel_impl
 from repro.exceptions import BackendError, GraphError
 from repro.graphs import generators
 from repro.graphs.base import Graph
@@ -47,13 +44,11 @@ needs_numpy = pytest.mark.skipif(not HAVE_NUMPY, reason="needs numpy")
 
 @pytest.fixture(autouse=True)
 def _clean_seam(monkeypatch):
-    """Every test starts unpinned, env-free, on default thresholds."""
-    monkeypatch.delenv("REPRO_BACKEND", raising=False)
+    """Every test starts unpinned, with numpy allowed."""
     monkeypatch.delenv("REPRO_NO_NUMPY", raising=False)
     previous = set_backend(None)
     yield
     set_backend(previous)
-    reset_thresholds()
 
 
 def small_csr():
@@ -73,20 +68,19 @@ class TestModePrecedence:
     def test_default_is_auto(self):
         assert current_mode() == "auto"
 
-    def test_env_override(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BACKEND", "pyloops")
-        assert current_mode() == "pyloops"
-        assert backend_name_for("csr_bfs_distances", big_csr()) == "pyloops"
-
-    def test_pin_shadows_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BACKEND", "pyloops")
-        set_backend("auto")
-        assert current_mode() == "auto"
-
-    def test_bad_env_raises_at_resolution(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BACKEND", "simd")
-        with pytest.raises(BackendError):
-            current_mode()
+    @needs_numpy
+    def test_pin_overrides_auto(self):
+        # A batch-256 wave on big_csr is far above its crossover, so
+        # auto sends it to vectorized; the pin wins over the table,
+        # and an "auto" pin is the same as no pin.
+        def pick():
+            return backend_for("csr_bfs_distances_many", big_csr(),
+                               batch=256).name
+        assert pick() == "vectorized"
+        set_backend("pyloops")
+        assert current_mode() == "pyloops" and pick() == "pyloops"
+        assert set_backend("auto") == "pyloops"
+        assert current_mode() == "auto" and pick() == "vectorized"
 
     def test_unknown_pin_rejected(self):
         with pytest.raises(BackendError):
@@ -99,41 +93,41 @@ class TestModePrecedence:
 
 class TestAutoDispatch:
     def test_small_calls_stay_on_pyloops(self):
-        # cycle(6): 12 arcs of work — far under every default threshold.
-        assert backend_name_for("csr_bfs_distances", small_csr()) == "pyloops"
+        # cycle(6): 12 arcs of work — far under every threshold.
+        assert backend_for("csr_bfs_distances",
+                           small_csr()).name == "pyloops"
 
     @needs_numpy
     def test_large_batched_call_goes_vectorized(self):
         csr = big_csr()
-        assert backend_name_for("csr_bfs_distances_many", csr,
-                                batch=256) == "vectorized"
+        assert backend_for("csr_bfs_distances_many", csr,
+                           batch=256).name == "vectorized"
 
     @needs_numpy
     def test_threshold_table_is_consulted(self):
-        csr = small_csr()
-        set_thresholds({"csr_bfs_distances": 1})
-        assert backend_name_for("csr_bfs_distances", csr) == "vectorized"
-        reset_thresholds()
-        assert backend_name_for("csr_bfs_distances", csr) == "pyloops"
-
-    def test_set_thresholds_rejects_unknown_kernels(self):
-        with pytest.raises(BackendError):
-            set_thresholds({"csr_warp_distances": 10})
-
-    def test_thresholds_returns_a_copy(self):
-        table = thresholds()
-        table["csr_bfs_distances"] = -1
-        assert thresholds()["csr_bfs_distances"] != -1
+        # The batch at which arcs x batch reaches the crossover goes
+        # vectorized; one source fewer stays on the loops.
+        kernel, csr = "csr_bfs_distances_many", big_csr()
+        at = -(-THRESHOLDS[kernel] // len(csr.indices))
+        assert at > 1
+        assert backend_for(kernel, csr, batch=at - 1).name == "pyloops"
+        assert backend_for(kernel, csr, batch=at).name == "vectorized"
+        # One entry per kernel, and read-only: no caller re-tunes it.
+        assert set(THRESHOLDS) == set(KERNEL_NAMES)
+        with pytest.raises(TypeError):
+            THRESHOLDS[kernel] = 1
 
     @needs_numpy
     def test_weighted_auto_requires_safe_weights(self):
-        # Weights near 2**62 would overflow a vectorized path sum:
-        # auto must route the call to the loops even above threshold.
-        g = generators.cycle(6)
-        csr = g.csr().with_arc_weights(lambda u, v: 1 << 61)
-        set_thresholds({"csr_weighted_distances": 1})
-        assert backend_name_for("csr_weighted_distances",
-                                csr) == "pyloops"
+        # big_csr's arcs clear the weighted single-source threshold:
+        # safe weights go vectorized, but weights near 2**61 would
+        # overflow a vectorized path sum, so auto keeps the loops.
+        kernel, csr = "csr_weighted_distances", big_csr()
+        assert len(csr.indices) >= THRESHOLDS[kernel]
+        safe = csr.with_arc_weights(lambda u, v: 1 + (u * 31 + v * 17) % 16)
+        huge = csr.with_arc_weights(lambda u, v: 1 << 61)
+        assert backend_for(kernel, safe).name == "vectorized"
+        assert backend_for(kernel, huge).name == "pyloops"
 
 
 class TestNumpyFallback:
@@ -155,8 +149,8 @@ class TestNumpyFallback:
 
     def test_auto_falls_back_without_numpy(self, monkeypatch):
         monkeypatch.setenv("REPRO_NO_NUMPY", "1")
-        assert backend_name_for("csr_bfs_distances_many", big_csr(),
-                                batch=256) == "pyloops"
+        assert backend_for("csr_bfs_distances_many", big_csr(),
+                           batch=256).name == "pyloops"
 
     def test_forcing_vectorized_without_numpy_raises(self, monkeypatch):
         monkeypatch.setenv("REPRO_NO_NUMPY", "1")
@@ -164,8 +158,13 @@ class TestNumpyFallback:
             set_backend("vectorized")
 
     def test_env_forced_vectorized_without_numpy_raises(self, monkeypatch):
+        # A vectorized pin taken while numpy loads raises at resolution
+        # once REPRO_NO_NUMPY hides it.  The fixture cleared that flag,
+        # so this tracks the actual install, like the test above.
+        if numpy_or_none() is None:
+            pytest.skip("taking a vectorized pin needs numpy installed")
+        set_backend("vectorized")
         monkeypatch.setenv("REPRO_NO_NUMPY", "1")
-        monkeypatch.setenv("REPRO_BACKEND", "vectorized")
         with pytest.raises(BackendError):
             backend_for("csr_bfs_distances", small_csr())
 
@@ -336,33 +335,13 @@ class TestNDMirror:
         assert np.array_equal(nd.rows, np.flatnonzero(nd.degree))
 
 
-class TestCalibrate:
-    @needs_numpy
-    def test_calibrate_installs_a_full_table(self):
-        table = calibrate(sizes=(24,), repeats=1)
-        assert set(table) == set(KERNEL_NAMES)
-        assert all(v >= 1 for v in table.values())
-        assert thresholds() == table
-
-    def test_calibrate_is_a_noop_without_numpy(self, monkeypatch):
-        monkeypatch.setenv("REPRO_NO_NUMPY", "1")
-        before = thresholds()
-        assert calibrate(sizes=(24,), repeats=1) == before
-
-
 class TestBackendThreading:
     def test_cache_info_reports_wave_backends(self):
         engine = ScenarioEngine(generators.torus(4, 4))
-        engine.source_vectors([0, 1, 2], [(0, 1)], try_delta=False)
+        engine.source_vectors([0, 1, 2], [(0, 1)])
         info = engine.cache_info()
-        assert dict(info.wave_backends) == {engine.wave_backend(3): 1}
+        assert dict(info.wave_backends) == {engine.last_wave_backend: 1}
         assert dict(info)["wave_backends"] == info.wave_backends
-
-    def test_wave_backend_probe_is_pure(self):
-        engine = ScenarioEngine(generators.torus(4, 4))
-        name = engine.wave_backend(64)
-        assert name in ("pyloops", "vectorized")
-        assert engine.cache_info().wave_backends == ()
 
     def test_wave_provenance_carries_backend(self):
         session = Session(generators.torus(4, 4))
@@ -370,6 +349,7 @@ class TestBackendThreading:
             [VectorQuery(source=0, faults=((0, 1),))])[0]
         assert answer.provenance.source == "wave"
         assert answer.provenance.backend in ("pyloops", "vectorized")
+        assert answer.provenance.backend == session.engine.last_wave_backend
 
     def test_cached_answer_has_no_backend(self):
         session = Session(generators.torus(4, 4))

@@ -232,16 +232,21 @@ class TestEngineDelta:
             0, faults)
 
     def test_large_cold_batch_keeps_the_shared_wave(self):
-        # One fault set, many cold sources: PR 3's single bit-packed
-        # wave must survive — no per-source tree builds.
+        # One fault set, many cold sources: the single bit-packed wave
+        # must survive — no per-source tree builds, not even when the
+        # batch repeats after its rows left the cache.
         g = generators.torus(6, 6)
-        engine = ScenarioEngine(g)
-        sources = list(range(g.n))
         faults = ((0, 1),)
-        rows = engine.source_vectors(sources, faults)
-        assert not engine._delta_index  # nothing was cold-built
-        ref = ScenarioEngine(g, delta=False)
-        assert rows == ref.source_vectors(sources, faults)
+        stream = [VectorQuery(s, faults) for s in range(g.n)]
+        want = [list(bfs_distances(g.without(faults), s))
+                for s in range(g.n)]
+        session = Session(g)
+        for _ in range(2):
+            answers = session.answer(stream)
+            assert not session.engine._delta_index  # nothing cold-built
+            assert all(a.provenance.source == "wave" for a in answers)
+            assert [list(a.value) for a in answers] == want
+            session.engine._memo.clear()
 
     def test_counters_and_cache_interplay(self):
         g = generators.path(30)
@@ -273,8 +278,10 @@ class TestEngineDelta:
         on, off = ScenarioEngine(g), ScenarioEngine(g, delta=False)
         ask_on, ask_off = Session(engine=on), Session(engine=off)
         for F in scenarios:
-            assert on.source_vectors([0, 5, 9], F) == \
-                off.source_vectors([0, 5, 9], F)
+            vq = [VectorQuery(s, F) for s in (0, 5, 9)]
+            assert [list(a.value) for a in ask_on.answer(vq)] == \
+                [list(a.value) for a in ask_off.answer(vq)] == \
+                [list(bfs_distances(g.without(F), s)) for s in (0, 5, 9)]
             q = DistanceQuery(3, g.n - 1, F)
             assert ask_on.answer_one(q).value == \
                 ask_off.answer_one(q).value == \
