@@ -112,10 +112,16 @@ class TestAutoDispatch:
         assert at > 1
         assert backend_for(kernel, csr, batch=at - 1).name == "pyloops"
         assert backend_for(kernel, csr, batch=at).name == "vectorized"
-        # One entry per kernel, and read-only: no caller re-tunes it.
+
+    def test_threshold_table_covers_exactly_the_kernels(self):
         assert set(THRESHOLDS) == set(KERNEL_NAMES)
+
+    def test_threshold_table_is_read_only(self):
+        # No caller re-tunes the shipped table at run time.
         with pytest.raises(TypeError):
-            THRESHOLDS[kernel] = 1
+            THRESHOLDS["csr_bfs_distances"] = 1
+        with pytest.raises(TypeError):
+            del THRESHOLDS["csr_bfs_distances"]
 
     @needs_numpy
     def test_weighted_auto_requires_safe_weights(self):
