@@ -48,7 +48,7 @@ def csr_scenario_loop(engine, s, t, scenarios):
     """CSR fast path alone: masked array BFS per scenario, no filtering."""
     out = []
     for faults in scenarios:
-        mask = engine.view(faults)._as_csr()[1]
+        mask = engine.csr.without(faults)._as_csr()[1]
         out.append(csr_bfs_distances(engine.csr, mask, s)[t])
     return out
 

@@ -59,7 +59,7 @@ def flat_scenario_loop(engine, s, t, scenarios):
     """Flat kernel alone: masked array Dijkstra per scenario, no filter."""
     out = []
     for faults in scenarios:
-        mask = engine.view(faults)._as_csr()[1]
+        mask = engine.csr.without(faults)._as_csr()[1]
         out.append(csr_weighted_distance(engine.csr, mask, s, t))
     return out
 

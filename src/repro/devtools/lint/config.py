@@ -132,7 +132,6 @@ CACHE_GETTERS: Tuple[str, ...] = (
     "peek_vector",
     "peek_any_vector",
     "try_delta",
-    "source_vector",
     "source_vectors",
     "base_distances",
 )

@@ -32,7 +32,6 @@ __all__ = [
     "InitRequest",
     "ExecuteRequest",
     "ReportRequest",
-    "PingRequest",
     "ShutdownRequest",
     "Reply",
     "ReadyReply",
@@ -107,11 +106,6 @@ class ReportRequest(Request):
 
 
 @dataclass(frozen=True)
-class PingRequest(Request):
-    """Health probe."""
-
-
-@dataclass(frozen=True)
 class ShutdownRequest(Request):
     """Orderly exit; the worker replies once, then leaves its loop."""
 
@@ -146,7 +140,7 @@ class ReportReply(Reply):
 
 @dataclass(frozen=True)
 class PongReply(Reply):
-    """Answer to :class:`PingRequest` and :class:`ShutdownRequest`."""
+    """Answer to :class:`ShutdownRequest`."""
 
 
 @dataclass(frozen=True)

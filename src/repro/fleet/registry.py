@@ -4,8 +4,8 @@ The :class:`WorkerRegistry` owns a set of persistent worker processes
 (:mod:`repro.fleet.worker`) and is the only module that touches
 :mod:`multiprocessing` directly.  It does two jobs:
 
-* **lifecycle** — lazy start, health probes, orderly shutdown, and
-  respawn of workers that die mid-request;
+* **lifecycle** — lazy start, orderly shutdown, and respawn of
+  workers that die mid-request;
 * **degradation** — when a respawned worker fails again (or a request
   cannot cross the pickle seam at all), the shard is served by an
   in-process serial fallback running the *same*
@@ -33,8 +33,6 @@ from repro import obs as _obs
 from repro.exceptions import FleetError
 from repro.fleet.protocol import (
     InitRequest,
-    PingRequest,
-    PongReply,
     ReadyReply,
     Reply,
     ReportReply,
@@ -230,7 +228,7 @@ class WorkerRegistry:
             pass
 
     # ------------------------------------------------------------------
-    # reports and probes
+    # reports
     # ------------------------------------------------------------------
     def reports(self) -> Dict[str, ReportReply]:
         """Fresh per-tenant cache/stats snapshots from every worker."""
@@ -246,23 +244,6 @@ class WorkerRegistry:
                 )
             reports[name] = checked
         return reports
-
-    def ping(self) -> Dict[str, bool]:
-        """Health probe: which workers answer a ping right now."""
-        self.start()
-        health: Dict[str, bool] = {}
-        for name, handle in self._handles.items():
-            if handle.conn is None or not handle.alive:
-                health[name] = False
-                continue
-            try:
-                handle.conn.send(PingRequest())
-                health[name] = (handle.conn.poll(5.0)
-                                and isinstance(handle.conn.recv(),
-                                               PongReply))
-            except (*_CHANNEL_ERRORS, *_PICKLE_ERRORS):
-                health[name] = False
-        return health
 
     # ------------------------------------------------------------------
     # dispatch

@@ -91,9 +91,9 @@ class FleetSession(SessionDialect):
     >>> from repro.graphs import generators
     >>> from repro.query import DistanceQuery
     >>> from repro.fleet import FleetSession
+    >>> query = DistanceQuery(0, 15, faults=[(0, 1)])
     >>> with FleetSession(generators.grid(4, 4), workers=2) as fleet:
-    ...     fleet.submit(DistanceQuery(0, 15, faults=[(0, 1)]))
-    ...     [a.value for a in fleet.gather()]
+    ...     [a.value for a in fleet.submit(query).gather()]
     [6]
     """
 

@@ -29,7 +29,6 @@ from repro.fleet.protocol import (
     ExecuteReply,
     ExecuteRequest,
     InitRequest,
-    PingRequest,
     PongReply,
     ReadyReply,
     Reply,
@@ -124,7 +123,7 @@ def serve_request(worker: str, sessions: Dict[str, Session],
     validation in :class:`~repro.fleet.session.FleetSession`, so here
     it is an invariant violation and raised as ``KeyError``.
     """
-    if isinstance(request, (PingRequest, ShutdownRequest)):
+    if isinstance(request, ShutdownRequest):
         return PongReply(worker=worker)
     if isinstance(request, ReportRequest):
         return ReportReply(

@@ -54,8 +54,8 @@ __all__ = [
     "Counter", "ENABLED", "Gauge", "Histogram", "MetricsRegistry",
     "MetricsServer", "SIZE_BUCKETS", "Span", "TIME_BUCKETS",
     "TraceContext", "activate", "current_context", "disable",
-    "emit_span", "enable", "enabled", "inc", "ingest", "metrics",
-    "observe", "registry", "render_prometheus", "reset", "set_gauge",
+    "emit_span", "enable", "enabled", "inc", "ingest", "observe",
+    "registry", "render_prometheus", "reset", "set_gauge",
     "snapshot", "span", "span_records", "start_span", "take_spans",
     "write_jsonl",
 ]
@@ -104,11 +104,6 @@ def reset() -> None:
 
 def registry() -> MetricsRegistry:
     """The process-wide instrument table."""
-    return _registry
-
-
-def metrics() -> MetricsRegistry:
-    """Alias of :func:`registry` (reads better at some call sites)."""
     return _registry
 
 

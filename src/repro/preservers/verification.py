@@ -11,21 +11,22 @@ and benchmark leans on.
 from __future__ import annotations
 
 import itertools
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
-from repro.graphs.base import Edge, Graph, canonical_edge
+from repro.exceptions import GraphError
+from repro.graphs.base import Edge, Graph
+from repro.scenarios.engine import ScenarioEngine
 
 
-def _fault_universe(graph: Graph, f: int,
-                    fault_sets: Optional[Iterable[Sequence[Edge]]]):
-    if fault_sets is not None:
-        for fs in fault_sets:
-            yield tuple(canonical_edge(u, v) for u, v in fs)
-        return
-    edges = list(graph.edges())
-    for size in range(f + 1):
-        for combo in itertools.combinations(edges, size):
-            yield combo
+def _endpoints(label: str, edges: Iterable[Edge]) -> Iterator[int]:
+    """Both endpoints of every edge; a non-pair raises GraphError."""
+    for edge in edges:
+        try:
+            u, v = edge
+        except (TypeError, ValueError):
+            raise GraphError(f"malformed {label} {edge!r}") from None
+        yield u
+        yield v
 
 
 def preserver_violations(
@@ -53,6 +54,8 @@ def preserver_violations(
     fault_sets:
         Explicit fault universe for sampled verification on larger
         graphs (see :func:`repro.graphs.generators.fault_sample`).
+        A fault edge between two vertices of ``G`` that is not an
+        edge of ``G`` removes nothing.
 
     Returns
     -------
@@ -60,23 +63,43 @@ def preserver_violations(
     ``faults`` is reported as a canonical tuple (each edge sorted, the
     set sorted and deduplicated), regardless of the orientation/order
     it was supplied in.
-    """
-    # Delegate through the query-session facade to the batched
-    # engine: one CSR snapshot per graph, a reusable O(|F|) scratch
-    # mask per scenario, and one bit-packed multi-source BFS wave per
-    # (scenario, graph) serving the whole source set, instead of a
-    # fresh FaultView + filtered BFS per (fault set, source).
-    # Enumeration order is unchanged; note the engine reports each
-    # fault set in canonical form (sorted, deduplicated), so
-    # explicitly passed ``fault_sets`` entries may come back
-    # reordered.
-    from repro.query.session import Session
 
-    session = Session(graph)
-    return session.preserver_violations(
-        preserver_edges, sources,
-        _fault_universe(graph, f, fault_sets), targets,
-    )
+    Raises
+    ------
+    GraphError
+        Before any sweep, naming the vertex, when a source, a target,
+        an endpoint of a preserver edge or an endpoint of an explicit
+        fault edge is not a vertex of ``G`` (or an edge is not a
+        pair).
+    """
+    # One batched engine sweep: a CSR snapshot per graph (G and H), a
+    # reusable O(|F|) scratch mask per scenario, and one bit-packed
+    # multi-source BFS wave per (scenario, graph) serving the whole
+    # source set.  Enumeration order is unchanged.
+    engine = ScenarioEngine(graph)
+    has_vertex = engine.csr.has_vertex
+    edges = list(preserver_edges)
+    source_list = list(sources)
+    target_list = None if targets is None else list(targets)
+    checks = [("source", source_list), ("target", target_list or ()),
+              ("preserver edge", _endpoints("preserver edge", edges))]
+    universe: Iterable[Sequence[Edge]]
+    if fault_sets is None:
+        graph_edges = list(graph.edges())
+        universe = itertools.chain.from_iterable(
+            itertools.combinations(graph_edges, size)
+            for size in range(f + 1)
+        )
+    else:
+        universe = [tuple(fs) for fs in fault_sets]
+        checks.append(("fault edge", _endpoints(
+            "fault edge", (e for fs in universe for e in fs))))
+    for label, vertices in checks:
+        for v in vertices:
+            if not has_vertex(v):
+                raise GraphError(f"unknown {label} vertex {v}")
+    return engine.preserver_violations(edges, source_list, universe,
+                                       target_list)
 
 
 def verify_preserver(graph: Graph, preserver_edges: Iterable[Edge],

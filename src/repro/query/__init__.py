@@ -8,24 +8,26 @@ query objects and a :class:`Planner` — not each caller — decides
 
 The query algebra
 -----------------
-Eight frozen-dataclass query kinds, all carrying a fault set:
+Six frozen-dataclass query kinds, all carrying a fault set:
 
 =========================  ============================================
 :class:`DistanceQuery`     ``dist_{G \\ F}(s, t)`` → ``int``
 :class:`PairQuery`         pair health → :class:`PairReport`
                            (base, replacement distance, stretch)
 :class:`VectorQuery`       full vector from ``s`` in ``G \\ F`` →
-                           read-only ``list``
+                           read-only row
 :class:`EccentricityQuery` ``max_v dist_{G \\ F}(s, v)`` → ``int``
 :class:`ConnectivityQuery` is ``G \\ F`` connected? → ``bool``
 :class:`RestorationQuery`  Figure-1 midpoint-scan instance (needs a
                            scheme) → ``(target, result | None)`` or
                            ``None``
-:class:`PreserverQuery`    Definition-4 check of ``H ⊆ G`` under one
-                           fault set → tuple of violation tuples
-:class:`MidpointQuery`     midpoint restoration scan (needs a scheme)
-                           → the core scan's result
 =========================  ============================================
+
+The preserver check (Definition 4) is not a query kind: it is one
+batched sweep over a whole scenario stream, so
+:func:`repro.preservers.preserver_violations` calls
+:meth:`~repro.scenarios.engine.ScenarioEngine.preserver_violations`
+directly.
 
 The contract:
 
@@ -87,10 +89,8 @@ from repro.query.queries import (
     ConnectivityQuery,
     DistanceQuery,
     EccentricityQuery,
-    MidpointQuery,
     PairQuery,
     PairReport,
-    PreserverQuery,
     Provenance,
     Query,
     RestorationQuery,
@@ -103,13 +103,11 @@ __all__ = [
     "ConnectivityQuery",
     "DistanceQuery",
     "EccentricityQuery",
-    "MidpointQuery",
     "PairQuery",
     "PairReport",
     "Plan",
     "PlanGroup",
     "Planner",
-    "PreserverQuery",
     "Provenance",
     "Query",
     "QueryError",

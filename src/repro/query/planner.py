@@ -43,7 +43,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence
 
 from repro import obs as _obs
 from repro.backends.api import row_eccentricity
@@ -53,10 +53,8 @@ from repro.query.queries import (
     ConnectivityQuery,
     DistanceQuery,
     EccentricityQuery,
-    MidpointQuery,
     PairQuery,
     PairReport,
-    PreserverQuery,
     Provenance,
     Query,
     RestorationQuery,
@@ -99,12 +97,7 @@ class Plan:
     queries: List[Query]
     groups: List[PlanGroup] = field(default_factory=list)
     restoration: List[int] = field(default_factory=list)
-    preserver: List[int] = field(default_factory=list)
-    midpoint: List[int] = field(default_factory=list)
     waves: int = 0  # filled by execute(): kernel calls actually made
-
-    def __len__(self) -> int:
-        return len(self.queries)
 
 
 class Planner:
@@ -117,8 +110,7 @@ class Planner:
         snapshot, caches and kernels serve the plans.  The planner
         only uses the engine's *kernel layer* (``source_vectors``,
         ``peek_vector`` / ``peek_any_vector``, ``faults_touch_pair``,
-        ``try_delta``, ``base_distances``, ``midpoint_scan``,
-        ``preserver_violations``).
+        ``try_delta``, ``base_distances``, ``midpoint_scan``).
     """
 
     def __init__(self, engine):
@@ -179,32 +171,6 @@ class Planner:
                     )
                 plan.restoration.append(i)
                 continue
-            if isinstance(q, PreserverQuery):
-                if engine.weighted:
-                    raise QueryError(
-                        "PreserverQuery checks hop-distance "
-                        "preservation; the session engine is weighted"
-                    )
-                for label, vertices in (("source", q.sources),
-                                        ("target", q.targets or ()),
-                                        ("edge", [v for e in q.edges
-                                                  for v in e])):
-                    for v in vertices:
-                        if not has_vertex(v):
-                            raise QueryError(
-                                f"unknown {label} vertex {v} in {q!r}"
-                            )
-                plan.preserver.append(i)
-                continue
-            if isinstance(q, MidpointQuery):
-                if engine.weighted:
-                    raise QueryError(
-                        "MidpointQuery runs on hop distances and "
-                        "tiebreaking schemes; the session engine is "
-                        "weighted"
-                    )
-                plan.midpoint.append(i)
-                continue
             groups.setdefault(q.fault_key, []).append(i)
         flip_ok = engine.symmetric_weights
         for fault_key, idxs in groups.items():
@@ -236,7 +202,7 @@ class Planner:
         Answers align with the planned stream's order.  ``scheme`` is
         required iff the plan contains restoration queries.
         """
-        if plan.restoration or plan.midpoint:
+        if plan.restoration:
             # Scheme problems surface before ANY kernel runs (the
             # QueryError contract), not after the other groups' waves
             # have already mutated the engine caches.
@@ -249,17 +215,9 @@ class Planner:
                 self._execute_group(plan, group, answers)
             if plan.restoration:
                 self._execute_restoration(plan, answers, scheme)
-            if plan.preserver:
-                self._execute_preserver(plan, answers)
-            if plan.midpoint:
-                self._execute_midpoint(plan, answers, scheme)
         if _obs.ENABLED:
             self._record_plan(plan, answers)
         return answers  # type: ignore[return-value]
-
-    def run(self, queries: Iterable[Query], scheme=None) -> List[Answer]:
-        """:meth:`plan` + :meth:`execute` in one call."""
-        return self.execute(self.plan(queries), scheme=scheme)
 
     @staticmethod
     def _record_plan(plan: Plan,
@@ -443,7 +401,7 @@ class Planner:
     def _check_restoration_scheme(self, scheme) -> None:
         if scheme is None:
             raise QueryError(
-                "RestorationQuery/MidpointQuery needs a scheme: pass "
+                "RestorationQuery needs a scheme: pass "
                 "one to Session(scheme=...) or answer(..., scheme=...)"
             )
         scheme_graph = getattr(scheme, "graph", None)
@@ -488,52 +446,3 @@ class Planner:
                 engine.midpoint_scan(scheme, q.source, q.target, q.faults),
             )
             answers[i] = Answer(q, value, prov)
-
-    def _execute_preserver(self, plan: Plan,
-                           answers: List[Optional[Answer]]) -> None:
-        """One engine sweep per distinct ``(edges, sources, targets)``
-        job: all fault sets of a job ride the same ``H`` snapshot, so
-        a scenario stream pays the subgraph build exactly once."""
-        engine = self.engine
-        jobs: "OrderedDict[Tuple, List[int]]" = OrderedDict()
-        for i in plan.preserver:
-            q = plan.queries[i]
-            jobs.setdefault((q.edges, q.sources, q.targets),
-                            []).append(i)
-        for (edges, sources, targets), idxs in jobs.items():
-            fault_keys = list(dict.fromkeys(
-                plan.queries[i].fault_key for i in idxs
-            ))
-            flat = engine.preserver_violations(
-                edges, sources, fault_keys, targets
-            )
-            by_key: Dict[Any, List[Tuple]] = {k: [] for k in fault_keys}
-            for violation in flat:
-                by_key[violation[0]].append(violation)
-            # One wave per scenario per graph side (G \ F and H \ F).
-            plan.waves += len(fault_keys)
-            prov = Provenance(
-                "wave", "preserver-sweep",
-                kernel="csr_bfs_distances_many",
-                wave_size=len(sources),
-            )
-            for i in idxs:
-                q = plan.queries[i]
-                answers[i] = Answer(q, tuple(by_key[q.fault_key]), prov)
-
-    def _execute_midpoint(self, plan: Plan,
-                          answers: List[Optional[Answer]],
-                          scheme) -> None:
-        engine = self.engine
-        prov = Provenance("wave", "midpoint-scan",
-                          kernel="midpoint_scan",
-                          wave_size=len(plan.midpoint))
-        for i in plan.midpoint:
-            q = plan.queries[i]
-            result = engine.midpoint_scan(
-                scheme, q.source, q.target, q.faults, q.subset
-            )
-            answers[i] = Answer(q, result, prov)
-        # Consecutive scans share the engine's cached tree indices;
-        # book the batch as one unit of kernel work.
-        plan.waves += 1

@@ -11,10 +11,9 @@ contract.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, Iterable, Optional, Tuple
+from typing import Any, Dict, Iterable, Optional
 
 from repro.exceptions import QueryError
-from repro.graphs.base import Edge
 from repro.scenarios.enumerate import FaultSet, _canonical
 
 __all__ = [
@@ -26,8 +25,6 @@ __all__ = [
     "EccentricityQuery",
     "ConnectivityQuery",
     "RestorationQuery",
-    "PreserverQuery",
-    "MidpointQuery",
     "PairReport",
     "Provenance",
     "Answer",
@@ -172,81 +169,6 @@ class RestorationQuery(Query):
                 f"RestorationQuery takes exactly one fault edge, got "
                 f"{len(self.faults)}: {self.faults!r}"
             )
-
-    @property
-    def fault_edge(self) -> Edge:
-        return self.faults[0]
-
-
-@dataclass(frozen=True)
-class PreserverQuery(Query):
-    """Definition-4 preserver check of ``H ⊆ G`` under one fault set.
-
-    ``edges`` spell the candidate preserver ``H`` and ``sources`` the
-    source set ``S``; the answer value is a tuple of violation tuples
-    ``(faults, s, t, dist_G, dist_H)`` — empty when ``H`` preserves
-    every queried ``S x targets`` distance in ``G \\ F``.  A stream of
-    these (one per scenario) is the algebra form of the old
-    ``Session.preserver_violations`` facade: the planner batches
-    queries sharing the same ``(edges, sources, targets)`` job into
-    one engine sweep, so the whole stream pays one ``H`` snapshot.
-
-    ``edges`` / ``sources`` / ``targets`` are canonicalized at
-    construction like ``faults`` (sorted, deduplicated), so equal
-    questions compare and hash equal.  Needs an unweighted engine.
-    """
-
-    edges: Tuple[Edge, ...] = ()
-    sources: Tuple[int, ...] = ()
-    faults: FaultSet = ()
-    targets: Optional[Tuple[int, ...]] = None
-    weighted: Optional[bool] = None
-
-    def _validate(self) -> None:
-        try:
-            edges = tuple(sorted(
-                {(u, v) if u <= v else (v, u) for u, v in self.edges}
-            ))
-            sources = tuple(sorted(set(self.sources)))
-            targets = (None if self.targets is None
-                       else tuple(sorted(set(self.targets))))
-        except (TypeError, ValueError) as exc:
-            raise QueryError(
-                f"malformed PreserverQuery payload: {exc}"
-            ) from exc
-        object.__setattr__(self, "edges", edges)
-        object.__setattr__(self, "sources", sources)
-        object.__setattr__(self, "targets", targets)
-
-
-@dataclass(frozen=True)
-class MidpointQuery(Query):
-    """A midpoint restoration scan as a first-class query kind.
-
-    The algebra form of the old ``Session.midpoint_scan`` facade:
-    scan the scheme-selected ``source ~> target`` path for a midpoint
-    whose detour avoids ``faults`` (optionally restricted to
-    ``subset`` — see :func:`repro.core.restoration.midpoint_scan`).
-    The answer value is exactly the core scan's result.  Needs a
-    scheme (``Session(scheme=...)`` or ``answer(..., scheme=...)``)
-    and an unweighted engine, like :class:`RestorationQuery`.
-    """
-
-    source: int
-    target: int
-    faults: FaultSet = ()
-    subset: Tuple[Edge, ...] = ()
-    weighted: Optional[bool] = None
-
-    def _validate(self) -> None:
-        try:
-            subset = _canonical(self.subset)
-        except (TypeError, ValueError) as exc:
-            raise QueryError(
-                f"malformed subset {self.subset!r} in MidpointQuery: "
-                f"{exc}"
-            ) from exc
-        object.__setattr__(self, "subset", subset)
 
 
 @dataclass(frozen=True)

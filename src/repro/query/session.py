@@ -11,13 +11,7 @@ of asking the declarative API a question speaks it:
   untouched);
 * **async** — :meth:`~SessionDialect.answer_async` awaits the same
   result from an :mod:`asyncio` event loop (the call runs on the
-  session's private worker thread, keeping the loop responsive);
-* **facades** — :meth:`~SessionDialect.preserver_violations` and
-  :meth:`~SessionDialect.midpoint_scan`, compatibility spellings of
-  :class:`~repro.query.queries.PreserverQuery` /
-  :class:`~repro.query.queries.MidpointQuery` streams, so the stats,
-  cache counters and the service wire format see one uniform query
-  surface.
+  session's private worker thread, keeping the loop responsive).
 
 The dialect is implemented once, here, over a single transport seam,
 ``_execute(queries, scheme, tenant) -> answers`` (the shape of the
@@ -45,10 +39,8 @@ from typing import (Any, Dict, Iterable, Iterator, List, Optional, Tuple,
 
 from repro import obs as _obs
 from repro.exceptions import GraphError, QueryError, ReproError
-from repro.graphs.base import Edge
 from repro.query.planner import Plan, Planner
-from repro.query.queries import (Answer, MidpointQuery, PreserverQuery,
-                                 Query, check_stream)
+from repro.query.queries import Answer, Query, check_stream
 from repro.scenarios.engine import CacheInfo, ScenarioEngine
 
 __all__ = ["DEFAULT_TENANT", "Session", "SessionDialect", "SessionStats"]
@@ -174,8 +166,7 @@ class SessionDialect(abc.ABC):
 
     A transport sets :attr:`tenants` and implements :meth:`_execute`
     and :meth:`cache_info`; staging, per-tenant grouping, the stream
-    check, the async executor, the facades and the lifecycle live
-    here, once.
+    check, the async executor and the lifecycle live here, once.
 
     Every answering method takes ``tenant=``: ``None`` selects the
     sole tenant, and an unknown name — or no name when several
@@ -325,43 +316,6 @@ class SessionDialect(abc.ABC):
                 )
             return self._async_executor
 
-    def preserver_violations(self, preserver_edges: Iterable[Edge],
-                             sources: Iterable[int],
-                             scenarios: Iterable[Iterable[Edge]],
-                             targets: Optional[Iterable[int]] = None, *,
-                             tenant: Optional[str] = None
-                             ) -> List[Tuple[Any, ...]]:
-        """Definition-4 check of ``H ⊆ G`` over a scenario stream.
-
-        A compatibility spelling of a
-        :class:`~repro.query.queries.PreserverQuery` stream (one query
-        per scenario); same output shape and order as
-        :meth:`ScenarioEngine.preserver_violations`.
-        """
-        edges = tuple(preserver_edges)
-        srcs = tuple(sources)
-        tgts = None if targets is None else tuple(targets)
-        answers = self.answer(
-            [PreserverQuery(edges=edges, sources=srcs, faults=tuple(sc),
-                            targets=tgts)
-             for sc in scenarios],
-            tenant=tenant,
-        )
-        return [v for a in answers for v in a.value]
-
-    def midpoint_scan(self, scheme: Any, s: int, t: int,
-                      faults: Iterable[Edge], subset: Iterable[Edge] = (),
-                      *, tenant: Optional[str] = None) -> Any:
-        """Midpoint restoration scan with the engine's cached tree
-        indices — a compatibility spelling of a
-        :class:`~repro.query.queries.MidpointQuery` (see
-        :meth:`ScenarioEngine.midpoint_scan` for semantics)."""
-        return self.answer_one(
-            MidpointQuery(s, t, faults=tuple(faults),
-                          subset=tuple(subset)),
-            scheme, tenant=tenant,
-        ).value
-
     # ------------------------------------------------------------------
     # lifecycle
     # ------------------------------------------------------------------
@@ -427,8 +381,8 @@ class Session(SessionDialect):
     >>> from repro.graphs import generators
     >>> from repro.query import DistanceQuery, Session
     >>> session = Session(generators.grid(4, 4))
-    >>> session.submit(DistanceQuery(0, 15, faults=[(0, 1)]))
-    >>> [a.value for a in session.gather()]
+    >>> query = DistanceQuery(0, 15, faults=[(0, 1)])
+    >>> [a.value for a in session.submit(query).gather()]  # submit chains
     [6]
     """
 

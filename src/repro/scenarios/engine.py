@@ -58,11 +58,11 @@ The engine is the *kernel layer* under the declarative query API
 (:mod:`repro.query`): a :class:`~repro.query.session.Session` owns an
 engine and a planner that groups arbitrary mixed query streams onto
 these batched kernels, and query streams enter through the session.
-The engine's surface is the row primitives
-(``source_vector``/``source_vectors``, ``base_distances``), the batch
-jobs behind the planner's preserver and midpoint kinds
-(``preserver_violations``, ``midpoint_scan``), and the planner
-protocol (:meth:`peek_vector`, :meth:`peek_any_vector`,
+The engine's surface is the row primitives (``source_vectors``,
+``base_distances``), two scheme jobs (``midpoint_scan``, which the
+planner runs for restoration queries, and ``preserver_violations``,
+the sweep behind :func:`repro.preservers.preserver_violations`), and
+the planner protocol (:meth:`peek_vector`, :meth:`peek_any_vector`,
 :meth:`faults_touch_pair`, :meth:`try_delta`).  The pair ladder —
 vector cache, touch filter, delta, masked wave — lives once, in the
 planner: every pair answer, restoration targets included, comes
@@ -74,7 +74,8 @@ Example
 >>> from repro.scenarios import ScenarioEngine
 >>> g = generators.grid(4, 4)
 >>> engine = ScenarioEngine(g)
->>> engine.source_vector(0, [(0, 1)])[15]  # dist_{G \\ (0,1)}(0, 15)
+>>> (row,) = engine.source_vectors([0], [(0, 1)])
+>>> row[15]  # dist_{G \\ (0,1)}(0, 15)
 6
 """
 
@@ -126,6 +127,7 @@ class CacheInfo:
     Attribute access is the canonical interface; ``__getitem__`` and
     ``keys`` keep the mapping idiom working, so ``info["size"]``
     reads and ``dict(info)`` round-trips for JSON payloads.
+    Equality and hashing are the frozen dataclass's own.
     """
 
     vector_hits: int
@@ -144,25 +146,6 @@ class CacheInfo:
 
     def keys(self):
         return iter(_CACHE_INFO_FIELDS)
-
-    def __iter__(self):
-        # Mapping-style iteration (yields keys, so `"size" in info`
-        # and `list(info)` behave like a raw dict).
-        return iter(_CACHE_INFO_FIELDS)
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, CacheInfo):
-            return self.as_dict() == other.as_dict()
-        if isinstance(other, dict):  # the PR-2 raw-dict idiom
-            return self.as_dict() == other
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(tuple(self.as_dict().values()))
-
-    def as_dict(self) -> Dict[str, Any]:
-        """A plain dict (JSON-ready), same keys as the PR-2 payload."""
-        return {name: getattr(self, name) for name in _CACHE_INFO_FIELDS}
 
     def publish(self, **labels: Any) -> None:
         """Mirror this snapshot into the obs registry as gauges.
@@ -303,9 +286,12 @@ class TreeFaultIndex:
         Subtree intervals are laminar (disjoint or nested), so after
         sorting, an interval starting inside the running frontier is
         nested under an already-cut subtree and dropped.  O(|F| log
-        |F|) — no vertex is touched.  Callers needing both the orphan
-        count and the orphans themselves should compute the intervals
-        once and feed them to :meth:`orphans_of_intervals` (what
+        |F|) — no vertex is touched.  Each vertex appears once in the
+        Euler tour, so an interval's length is its subtree's size and
+        the summed lengths count the orphans exactly.  Callers needing
+        both the orphan count and the orphans themselves should
+        compute the intervals once and feed them to
+        :meth:`orphans_of_intervals` (what
         :func:`repro.incremental.affected.affected_region` does).
         """
         cut: List[Tuple[int, int]] = []
@@ -326,19 +312,6 @@ class TreeFaultIndex:
             keep((lo, hi))
             pos = hi
         return merged
-
-    def orphan_estimate(self, faults: Iterable[Edge]) -> int:
-        """How many vertices hang below a faulted tree edge — exact,
-        in O(|F| log |F|), without materialising any of them.
-
-        Each vertex appears once in the Euler tour, so a cut
-        interval's length *is* its subtree's size; the estimate is
-        the summed length of the merged intervals.  This is what lets
-        the delta cost model (:mod:`repro.incremental.affected`)
-        reject a half-the-graph fault set for the price of interval
-        arithmetic.
-        """
-        return sum(hi - lo for lo, hi in self.cut_intervals(faults))
 
     def orphans_of_intervals(self, intervals: Iterable[Tuple[int, int]]
                              ) -> List[int]:
@@ -568,10 +541,6 @@ class ScenarioEngine:
             cached = TreeFaultIndex(tree)
             self._tree_index[id(tree)] = cached
         return cached
-
-    def view(self, faults: Iterable[Edge]):
-        """The O(|F|) arc-masked CSR view of ``G \\ F``."""
-        return self.csr.without(faults)
 
     # ------------------------------------------------------------------
     # incremental deltas: patch base vectors instead of re-traversing
@@ -956,11 +925,6 @@ class ScenarioEngine:
                 for i in pending[s]:
                     out[i] = row
         return out
-
-    def source_vector(self, source: int,
-                      faults: Iterable[Edge] = ()) -> Sequence[int]:
-        """The cached (read-only) distance vector of one ``(s, F)``."""
-        return self.source_vectors([source], faults)[0]
 
     # ------------------------------------------------------------------
     # midpoint scans

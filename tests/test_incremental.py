@@ -170,7 +170,8 @@ class TestAffectedRegion:
         g, faults, s = case
         index = ScenarioEngine(g).base_tree_index(s)
         orphans = index.orphaned_vertices(faults)
-        assert index.orphan_estimate(faults) == len(orphans)
+        assert affected_region(index, g.n, s, faults).estimate == \
+            len(orphans)
         assert len(set(orphans)) == len(orphans)
         free = index.fault_free_vertices(faults)
         reached = {v for v, d in
@@ -204,7 +205,7 @@ class TestEngineDelta:
         engine = ScenarioEngine(g)
         engine.base_tree_index(s)  # pre-warm: cold origins decline
         vec = engine.try_delta(s, faults)
-        ref = ScenarioEngine(g, delta=False).source_vector(s, faults)
+        (ref,) = ScenarioEngine(g, delta=False).source_vectors([s], faults)
         if vec is not None:
             assert vec == ref
             # the empty fault set is served straight from the base
@@ -215,7 +216,7 @@ class TestEngineDelta:
             assert engine.delta_fallbacks == 1
             # the fallback verdict cost only interval arithmetic; the
             # wave path still serves the same answer
-            assert engine.source_vector(s, faults) == ref
+            assert engine.source_vectors([s], faults)[0] == ref
 
     def test_cold_origin_warms_up_on_repeat(self):
         g = generators.path(30)
@@ -228,8 +229,8 @@ class TestEngineDelta:
         # the repeat warms the substrate and patches
         vec = engine.try_delta(0, faults)
         assert vec is not None and engine.delta_hits == 1
-        assert vec == ScenarioEngine(g, delta=False).source_vector(
-            0, faults)
+        assert vec == ScenarioEngine(g, delta=False).source_vectors(
+            [0], faults)[0]
 
     def test_large_cold_batch_keeps_the_shared_wave(self):
         # One fault set, many cold sources: the single bit-packed wave

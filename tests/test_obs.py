@@ -92,6 +92,16 @@ class TestRegistry:
         with pytest.raises(ValueError):
             Histogram("bad", (), ())
 
+    def test_metrics_submodule_import_yields_the_module(self):
+        # ``import repro.obs.metrics as m`` binds the package attribute
+        # of that name, so nothing in the package may shadow it.
+        import types
+
+        import repro.obs.metrics as metrics_module
+
+        assert isinstance(metrics_module, types.ModuleType)
+        assert metrics_module.MetricsRegistry is obs.MetricsRegistry
+
     def test_snapshot_is_json_ready_and_sorted(self):
         reg = MetricsRegistry()
         reg.histogram("z_seconds").observe(0.01)

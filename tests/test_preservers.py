@@ -1,5 +1,7 @@
 """Tests for FT preservers (Theorems 26, 31) and their verification."""
 
+import re
+
 import pytest
 
 from repro.exceptions import GraphError
@@ -135,3 +137,33 @@ class TestVerification:
         p = ft_ss_preserver(grid4, S, faults_tolerated=1, seed=2)
         sampled = generators.fault_sample(grid4, 8, seed=1, size=1)
         assert verify_preserver(grid4, p.edges, S, fault_sets=sampled)
+
+    @pytest.mark.parametrize("malformed, named", [
+        ({"sources": [0, 99]}, "vertex 99"),
+        ({"targets": [0, -1]}, "vertex -1"),
+        ({"preserver_edges": [(0, 1), (15, 42)]}, "vertex 42"),
+        ({"fault_sets": [[(0, 1)], [(0, 77)]]}, "vertex 77"),
+        ({"fault_sets": [[(0, 1, 2)]]}, "fault edge (0, 1, 2)"),
+    ], ids=["source", "target", "preserver-edge", "fault-edge",
+            "non-pair-edge"])
+    def test_malformed_input_raises_graph_error(self, grid4, malformed,
+                                                named):
+        """The verifier checks its own inputs before any sweep and
+        names the offending vertex (or edge)."""
+        args = {"preserver_edges": list(grid4.edges()), "sources": [0, 15],
+                **malformed}
+        with pytest.raises(GraphError, match=re.escape(named)):
+            preserver_violations(grid4, **args)
+
+    def test_absent_fault_edge_removes_nothing(self, grid4):
+        # (0, 5) joins two grid vertices but is no grid edge: as a
+        # fault it is accepted and leaves G and H as they are.
+        assert not grid4.has_edge(0, 5)
+        weakened = [e for e in grid4.edges() if e != (0, 1)]
+        S, V = [0, 15], list(grid4.vertices())
+        fault_free = preserver_violations(grid4, weakened, S, targets=V,
+                                          fault_sets=[[]])
+        absent = preserver_violations(grid4, weakened, S, targets=V,
+                                      fault_sets=[[(5, 0)]])
+        assert fault_free
+        assert absent == [(((0, 5),), *v[1:]) for v in fault_free]

@@ -139,7 +139,8 @@ class TestScenarioEngine:
         # planner rejects them before any kernel runs).
         engine = ScenarioEngine(torus)
         base = bfs_distances(torus, 0)[12]
-        assert engine.source_vector(0, [(0, 999), (-5, 3)])[12] == base
+        (row,) = engine.source_vectors([0], [(0, 999), (-5, 3)])
+        assert row[12] == base
         assert not engine.faults_touch_pair(0, 12, [(0, 999)])
 
     def test_scratch_mask_restored_between_scenarios(self, torus):
@@ -248,7 +249,7 @@ class TestScenarioEngine:
         assert masked == [2]  # both arcs of the fault were masked
         assert all(engine._scratch_mask)
         monkeypatch.undo()
-        assert engine.source_vector(0, [(0, 1)]) == \
+        assert engine.source_vectors([0], [(0, 1)])[0] == \
             bfs_distances(torus.without([(0, 1)]), 0)
 
 

@@ -15,6 +15,7 @@ import random
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.exceptions import GraphError
+from repro.preservers import preserver_violations
 from repro.query import DistanceQuery, Session, VectorQuery
 from repro.scenarios.engine import ScenarioEngine
 from repro.spt.bfs import UNREACHABLE
@@ -215,9 +216,9 @@ class TestScenarioMemo:
         assert d2.provenance.source in ("cache", "filter")
         assert engine.cache_info().vector_misses == misses
         # one row per canonical fault set, whatever its spelling
-        row = engine.source_vector(0, [(u, v)])
+        (row,) = engine.source_vectors([0], [(u, v)])
         hits = engine.cache_info().vector_hits
-        assert engine.source_vector(0, [(v, u), (u, v)]) is row
+        assert engine.source_vectors([0], [(v, u), (u, v)])[0] is row
         assert engine.cache_info().vector_hits == hits + 1
 
     def test_bounded_eviction(self):
@@ -297,6 +298,13 @@ class TestWeightedEngineGuards:
             assert "weighted" in str(err)
         else:  # pragma: no cover - regression guard
             raise AssertionError("weighted engine accepted a scheme query")
+        # the preserver verifier sweeps an engine over its graph too
+        try:
+            preserver_violations(wg, [], [0])
+        except GraphError as err:
+            assert "weighted" in str(err)
+        else:  # pragma: no cover - regression guard
+            raise AssertionError("preserver verifier accepted a weighted graph")
 
     def test_perturbed_requires_weighted(self):
         from repro.graphs import generators
