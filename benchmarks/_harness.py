@@ -14,11 +14,16 @@ whatever ``results/*.json`` files currently exist.
 
 from __future__ import annotations
 
+import datetime
 import json
+import os
 import pathlib
+import platform
+import subprocess
 from typing import Dict, List, Optional, Sequence
 
 from repro.analysis.experiments import format_table
+from repro.backends import numpy_or_none
 
 # Both paths resolved, so relative_to() below stays valid when the
 # checkout is reached through a symlink.
@@ -50,7 +55,9 @@ def emit_json(name: str, payload: Dict) -> pathlib.Path:
     ``history`` entry (bench name + params + headline speedup) is
     appended for this run — ``results/*.json`` keeps only the latest
     snapshot per bench, so the history list is what actually records
-    the perf trajectory across PRs.
+    the perf trajectory across PRs.  Each entry is stamped with when
+    (``utc``), where (``host``) and at which revision (``rev``) it ran,
+    so a series can be tied to a commit and a machine.
     """
     RESULTS_DIR.mkdir(exist_ok=True)
     path = RESULTS_DIR / f"{name}.json"
@@ -74,8 +81,38 @@ def emit_json(name: str, payload: Dict) -> pathlib.Path:
         # idea one layer up (None = not a service bench).
         "clients": (params.get("clients")
                     if isinstance(params, dict) else None),
+        "rev": git_revision(pathlib.Path(__file__).resolve().parent),
+        "utc": datetime.datetime.now(datetime.timezone.utc).isoformat(
+            timespec="seconds"),
+        "host": host_fingerprint(),
     })
     return path
+
+
+def git_revision(directory: pathlib.Path) -> Optional[str]:
+    """``git rev-parse --short HEAD`` in ``directory``, or ``None``
+    outside a git checkout (or without git)."""
+    try:
+        done = subprocess.run(
+            ["git", "rev-parse", "--short", "HEAD"], cwd=directory,
+            capture_output=True, text=True, check=False)
+    except OSError:
+        return None
+    rev = done.stdout.strip()
+    return rev if done.returncode == 0 and rev else None
+
+
+def host_fingerprint() -> Dict[str, object]:
+    """The host facts a timing depends on: usable CPUs, the Python
+    version and the numpy version the kernels could use (``None``
+    when numpy is absent or ``REPRO_NO_NUMPY`` switches it off)."""
+    numpy = numpy_or_none()
+    return {
+        "nproc": (len(os.sched_getaffinity(0))
+                  if hasattr(os, "sched_getaffinity") else os.cpu_count()),
+        "python": platform.python_version(),
+        "numpy": numpy.__version__ if numpy is not None else None,
+    }
 
 
 def _load_history() -> List[Dict]:

@@ -12,9 +12,10 @@ ways:
   (today's idiom: every consumer builds its own engine);
 * **service** — N :class:`~repro.service.ServiceClient`\\ s over one
   :class:`~repro.service.BackgroundServer` sharing a single backend
-  session.  Each round, the first arrival flushes alone, and the rest
-  share the next batch; the planner's fault-set grouping turns their
-  probes into **one** wave.
+  session.  Each round, the requests the server reads in the first
+  arrival's loop turn share its batch, and the rest share the next
+  one; the planner's fault-set grouping turns each batch's probes
+  into **one** wave.
 
 Every service answer is asserted equal to the in-process session's
 answer before any timing is trusted, and the coalesced wave count

@@ -5,16 +5,19 @@ A :class:`~repro.service.ScenarioServer` is an asyncio network front
 over one shared :class:`~repro.query.Session` (or a sharded
 :class:`~repro.fleet.FleetSession`).  Clients speak the exact session
 dialect over a socket — and the server's
-:class:`~repro.service.Coalescer` folds the requests that arrive
-while a batch runs into the next one, so clients querying the *same*
-failure ride one masked wave.  This tour walks the four things the service adds:
+:class:`~repro.service.Coalescer` batches the requests it reads in
+one event-loop turn together, and folds those that arrive while a
+batch runs into the next one, so clients querying the *same* failure
+ride one masked wave.  This tour walks the four things the service
+adds:
 
 1. **The dialect over the wire** — `ServiceClient` is a drop-in for
    `Session`: submit/gather/answer, typed answers with provenance.
 2. **Cross-client coalescing under load** — while a third client's
    sweep is in flight, two clients ask about the same fault set; their
    requests share the next batch, one wave answers both, and every
-   answer's ``provenance.coalesced`` says how many queries rode it.
+   answer's ``provenance.coalesced`` says how many clients' requests
+   asked about its fault set.
 3. **Admission control** — typed ``ServiceError`` backpressure
    instead of unbounded queues.
 4. **Epoch pushes** — the invalidation channel for clients holding
@@ -52,8 +55,10 @@ def main() -> None:
                       f"via {a.provenance.source}")
 
         # --- 2. cross-client coalescing under load -------------------
-        # A request that finds the backend idle is answered at once;
-        # requests that arrive while a batch runs share the next one.
+        # A request that finds the backend idle goes to it at the end
+        # of the loop turn that read it, with whatever else that turn
+        # read; requests that arrive while a batch runs share the
+        # next one.
         # Carol's sweep over 200 failures is in flight (the server's
         # stats show it) when Alice and Bob both ask about fault set
         # F: the coalescer flushes their two requests together when

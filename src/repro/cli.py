@@ -241,8 +241,8 @@ def cmd_query(args) -> int:
     if connect:
         server = session.server_stats()["server"]
         print(f"service: {server['batches']} micro-batches, "
-              f"{server['coalesced_queries']} queries rode a "
-              f"shared wave")
+              f"{server['coalesced_queries']} queries shared their "
+              f"fault set's wave with another request")
     elif workers > 0:
         shares = ", ".join(
             f"{name}={count}" for name, count in
@@ -266,8 +266,8 @@ def _cache_line(info) -> str:
 def _print_provenance(answers) -> None:
     """One line per provenance dimension the answers actually carry:
     which kernel backend served the waves/repairs, which fleet worker
-    produced each answer, and how many answers rode a wave shared with
-    other clients (``coalesced > 1``)."""
+    produced each answer, and how many answers shared their fault
+    set's wave with another request (``coalesced > 1``)."""
     from collections import Counter
 
     backends = Counter(a.provenance.backend for a in answers
@@ -283,7 +283,7 @@ def _print_provenance(answers) -> None:
     shared = sum(1 for a in answers if (a.provenance.coalesced or 0) > 1)
     if shared:
         print(f"coalesced: {shared}/{len(answers)} answers shared "
-              f"their fault set's wave with other batched queries")
+              f"their fault set's wave with another request")
 
 
 def cmd_serve(args) -> int:
@@ -317,7 +317,8 @@ def cmd_serve(args) -> int:
         await server.start()
         host, port = server.address
         print(f"serving n={graph.n}, m={graph.m} on {host}:{port} "
-              f"(requests arriving mid-batch share the next, <= "
+              f"(requests read in one loop turn share a batch, "
+              f"those arriving mid-batch share the next, <= "
               f"{server.coalescer.max_batch} queries)")
         if metrics_server is not None:
             print(f"metrics: http://{args.host}:"

@@ -47,8 +47,8 @@ from repro.obs import export as _export
 from repro.obs.metrics import (Counter, Gauge, Histogram,
                                MetricsRegistry, SIZE_BUCKETS,
                                TIME_BUCKETS)
-from repro.obs.trace import (Span, TraceContext, current_context,
-                             new_id, now, reset_current, set_current)
+from repro.obs.trace import (Span, TraceContext, current_context, now,
+                             reset_current, set_current)
 
 __all__ = [
     "Counter", "ENABLED", "Gauge", "Histogram", "MetricsRegistry",

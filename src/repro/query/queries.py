@@ -219,11 +219,12 @@ class Provenance:
     :class:`~repro.query.session.Session` leave it ``None``.
 
     ``coalesced`` is stamped by the scenario service
-    (:mod:`repro.service`): the number of queries — across *all*
-    connected clients — that shared this answer's canonical fault set
-    in the micro-batch it rode, so a value above 1 means concurrent
-    clients split the cost of one masked wave.  Answers served
-    in-process leave it 0.
+    (:mod:`repro.service`): the number of requests (tickets) — across
+    *all* connected clients — in the micro-batch it rode that asked
+    about this answer's canonical fault set.  A lone request reads 1
+    however many of its own queries share the fault set, so a value
+    above 1 means concurrent clients split the cost of one masked
+    wave.  Answers served in-process leave it 0.
     """
 
     source: str

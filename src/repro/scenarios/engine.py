@@ -126,8 +126,9 @@ class CacheInfo:
 
     Attribute access is the canonical interface; ``__getitem__`` and
     ``keys`` keep the mapping idiom working, so ``info["size"]``
-    reads and ``dict(info)`` round-trips for JSON payloads.
-    Equality and hashing are the frozen dataclass's own.
+    reads and ``dict(info)`` round-trips for JSON payloads.  ``in``
+    tests a field name, and iteration raises ``TypeError``.  Equality
+    and hashing are the frozen dataclass's own.
     """
 
     vector_hits: int
@@ -143,6 +144,13 @@ class CacheInfo:
         if key not in _CACHE_INFO_FIELDS:
             raise KeyError(key)
         return getattr(self, key)
+
+    def __contains__(self, key: object) -> bool:
+        return key in _CACHE_INFO_FIELDS
+
+    #: Not iterable: ``None`` stops Python from falling back to
+    #: iterating by index through ``__getitem__``.
+    __iter__ = None
 
     def keys(self):
         return iter(_CACHE_INFO_FIELDS)

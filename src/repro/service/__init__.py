@@ -10,10 +10,14 @@ masked wave, not one each.  This package is that front:
   wire format (one dict-with-``type`` message per length-prefixed
   frame, handshake-enforced :data:`~repro.service.protocol.PROTOCOL_VERSION`).
 * :class:`~repro.service.coalescer.Coalescer` — group-commit batches
-  (flush when idle, batch while one runs) that merge every
-  connection's queries into one backend gather, where the planner's
-  canonical fault-set grouping turns cross-client duplicates into
-  shared waves; each answer carries the ``coalesced`` head-count.
+  (an idle coalescer flushes at the end of the loop turn that
+  admitted a request, so requests read in one poll share a batch;
+  requests that arrive while one runs share the next) that merge
+  every connection's queries into one backend gather, where the
+  planner's canonical fault-set grouping turns cross-client
+  duplicates into shared waves; each answer's ``coalesced`` counts
+  the requests (tickets) in its batch that asked about its fault
+  set.
 * :class:`~repro.service.server.ScenarioServer` — the asyncio server:
   admission control (per-client and global in-flight weights, typed
   ``admission`` backpressure replies), graceful drain, ``epoch`` push

@@ -4,19 +4,23 @@ The service's reason to exist: the paper's workload is *many queries
 against many fault sets over one base graph*, and concurrent clients
 asking about the same failure should cost one masked wave, not N.
 The :class:`Coalescer` makes that happen without touching the
-planner.  It batches by group commit: a ticket admitted while no
-batch is in flight flushes at once; tickets admitted while one runs
+planner.  It batches by group commit: the first ticket admitted while
+no batch is in flight schedules one flush for the end of the current
+event-loop turn, so every request whose frame the server read in the
+same poll rides the same batch; tickets admitted while a batch runs
 flush together the moment it finishes (or on reaching ``max_batch``
-queries).  The batch goes to the shared backend session — whose
-planner already groups by canonical fault set, so queries from
-different clients sharing a fault set ride one wave — and the
-answers are demultiplexed back to each :class:`Ticket` in
-submission order.
+queries).  No timer is involved: a lone client waits one loop turn,
+never for company that is not coming.  The batch goes to the shared
+backend session — whose planner already groups by canonical fault
+set, so queries from different clients sharing a fault set ride one
+wave — and the answers are demultiplexed back to each
+:class:`Ticket` in submission order.
 
 Each answer's :class:`~repro.query.queries.Provenance` is stamped
-with ``coalesced``: how many queries across the whole flushed batch
-shared its canonical fault set.  A value above 1 is the service
-paying one wave for several clients.
+with ``coalesced``: how many tickets in its batch group asked about
+its canonical fault set.  A lone ticket reads 1 however many queries
+it holds; a value above 1 is the service paying one wave for several
+clients.
 
 Isolation: one client's malformed stream must not poison a merged
 batch.  When a batch of several tickets fails with a
@@ -72,6 +76,12 @@ class Ticket:
     trace: Any = None
 
 
+def _ticket_counts(tickets: List[Ticket]) -> "Counter[Any]":
+    """How many of ``tickets`` ask about each canonical fault set."""
+    return Counter(key for t in tickets
+                   for key in {q.fault_key for q in t.queries})
+
+
 def _stamp(answers: List[Answer],
            counts: "Counter[Any]") -> List[Answer]:
     """Return answers with ``provenance.coalesced`` set from counts."""
@@ -110,6 +120,8 @@ class Coalescer:
         self._pending_queries = 0
         #: Flushed batches whose task has not finished yet.
         self._inflight = 0
+        #: An end-of-turn idle flush is scheduled and has not run.
+        self._idle_scheduled = False
         self._tasks: Set["asyncio.Task[None]"] = set()
         self._executor = ThreadPoolExecutor(
             max_workers=1, thread_name_prefix="repro-coalescer",
@@ -118,21 +130,35 @@ class Coalescer:
         self.batches = 0
         #: Queries answered through flushed batches.
         self.flushed_queries = 0
-        #: Queries that shared their batch's fault set with another
-        #: query (i.e. answers stamped ``coalesced > 1``).
+        #: Queries whose fault set another ticket in their batch also
+        #: asked about (i.e. answers stamped ``coalesced > 1``).
         self.coalesced_queries = 0
 
     # ------------------------------------------------------------------
     # admission
     # ------------------------------------------------------------------
     def submit(self, ticket: Ticket) -> None:
-        """Admit one ticket; flush unless a batch is in flight and
-        the pending tickets hold fewer than ``max_batch`` queries."""
+        """Admit one ticket.
+
+        The pending tickets flush at once when they hold ``max_batch``
+        queries.  Otherwise, the first ticket an idle coalescer admits
+        schedules one flush for the end of this loop turn, so tickets
+        admitted in the same turn ride its batch; while a batch is in
+        flight, they wait for it to finish.
+        """
         self._pending.append(ticket)
         self._pending_queries += len(ticket.queries)
         if self._pending_queries >= self.max_batch:
             self.flush("size")
-        elif not self._inflight:
+        elif not self._inflight and not self._idle_scheduled:
+            self._idle_scheduled = True
+            asyncio.get_running_loop().call_soon(self._flush_idle)
+
+    def _flush_idle(self) -> None:
+        """The end-of-turn flush :meth:`submit` scheduled: a no-op if a
+        batch went in flight meanwhile (its end flushes the rest)."""
+        self._idle_scheduled = False
+        if not self._inflight:
             self.flush("idle")
 
     def flush(self, reason: str) -> None:
@@ -188,7 +214,7 @@ class Coalescer:
                          tickets: List[Ticket]) -> None:
         queries = [q for t in tickets for q in t.queries]
         scheme = tickets[0].scheme
-        counts: "Counter[Any]" = Counter(q.fault_key for q in queries)
+        counts = _ticket_counts(tickets)
         # One shared wave span for the whole merged group: parented to
         # the first traced ticket, carrying every batch-mate's trace
         # id — the record that several clients paid one wave.
@@ -244,8 +270,6 @@ class Coalescer:
     async def _retry_alone(self, tenant: str, tickets: List[Ticket],
                            ctx: Optional[TraceContext] = None) -> None:
         for ticket in tickets:
-            counts: "Counter[Any]" = Counter(
-                q.fault_key for q in ticket.queries)
             try:
                 answers = await self._call(
                     ticket.queries, ticket.scheme, tenant, ctx)
@@ -255,7 +279,8 @@ class Coalescer:
                 continue
             self.flushed_queries += len(ticket.queries)
             if not ticket.future.done():
-                ticket.future.set_result(_stamp(answers, counts))
+                ticket.future.set_result(
+                    _stamp(answers, _ticket_counts([ticket])))
 
     async def _call(self, queries: List[Query], scheme: Any,
                     tenant: str,

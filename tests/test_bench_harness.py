@@ -1,0 +1,72 @@
+"""Tests for the benchmark harness's history file (benchmarks/_harness.py).
+
+``emit_json`` appends one entry per run to ``BENCH_SUMMARY.json``'s
+``history``; each new entry carries when (``utc``), where (``host``)
+and at which revision (``rev``) it ran, and the earlier history is
+kept as it was.  The harness paths are pointed at a temporary
+directory, so the checkout's own summary is never touched.
+"""
+
+import datetime
+import importlib.util
+import json
+import pathlib
+import platform
+
+import pytest
+
+from repro.backends import numpy_or_none
+
+_HARNESS = (pathlib.Path(__file__).resolve().parent.parent
+            / "benchmarks" / "_harness.py")
+
+
+@pytest.fixture()
+def harness(tmp_path, monkeypatch):
+    spec = importlib.util.spec_from_file_location("_harness", _HARNESS)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    monkeypatch.setattr(module, "RESULTS_DIR", tmp_path / "results")
+    monkeypatch.setattr(module, "SUMMARY_PATH",
+                        tmp_path / "BENCH_SUMMARY.json")
+    return module
+
+
+def _history(harness):
+    return json.loads(harness.SUMMARY_PATH.read_text())["history"]
+
+
+def test_emit_json_appends_stamped_entries_and_keeps_history(harness):
+    earlier = {"bench": "old", "params": {"quick": True}, "speedup": 1.5}
+    harness.SUMMARY_PATH.write_text(json.dumps({"history": [earlier]}))
+    harness.emit_json("alpha", {"params": {"quick": True},
+                                "speedup": 2.0})
+    harness.emit_json("beta", {"params": {"quick": False,
+                                          "clients": 3}})
+    history = _history(harness)
+    assert history[0] == earlier
+    assert [e["bench"] for e in history[1:]] == ["alpha", "beta"]
+    assert history[2]["clients"] == 3
+    numpy = numpy_or_none()
+    for entry in history[1:]:
+        stamp = datetime.datetime.fromisoformat(entry["utc"])
+        assert stamp.utcoffset() == datetime.timedelta(0)
+        assert stamp.microsecond == 0
+        assert entry["rev"] == harness.git_revision(_HARNESS.parent)
+        host = entry["host"]
+        assert sorted(host) == ["nproc", "numpy", "python"]
+        assert host["nproc"] >= 1
+        assert host["python"] == platform.python_version()
+        assert host["numpy"] == (
+            numpy.__version__ if numpy is not None else None)
+
+
+def test_no_numpy_reads_none(harness, monkeypatch):
+    monkeypatch.setenv("REPRO_NO_NUMPY", "1")
+    harness.emit_json("gamma", {"params": None})
+    (entry,) = _history(harness)
+    assert entry["host"]["numpy"] is None
+
+
+def test_revision_is_none_outside_a_checkout(harness, tmp_path):
+    assert harness.git_revision(tmp_path) is None

@@ -5,12 +5,15 @@ backend is a fake that answers through a real ``Session`` and can be
 held at a gate (a ``threading.Event``), so every ordering below is
 forced by the test: no timer, no sleep.
 
-The contract pinned here: a ticket admitted while no batch is in
-flight goes to the backend at once (flush reason ``idle``); tickets
-admitted while one runs ride one batch flushed when it finishes;
-``max_batch`` caps a batch (reason ``size``); ``drain()`` answers
-everything admitted (reason ``drain``); and only a merged batch that
-fails is re-answered ticket by ticket.
+The contract pinned here: tickets admitted to an idle coalescer go
+to the backend as one batch at the end of the event-loop turn that
+admitted them (flush reason ``idle``), never later and never from
+inside ``submit``; tickets admitted while a batch runs ride one batch
+flushed when it finishes; ``max_batch`` caps a batch (reason
+``size``); ``drain()`` answers everything admitted (reason
+``drain``); only a merged batch that fails is re-answered ticket by
+ticket; and ``coalesced`` counts the tickets that asked about an
+answer's fault set, not the queries.
 """
 
 import asyncio
@@ -103,15 +106,65 @@ def _run(scenario, **kwargs):
     asyncio.run(main())
 
 
-def test_lone_ticket_goes_to_the_backend_at_once():
+def test_lone_ticket_goes_to_the_backend_within_one_loop_turn():
     async def scenario(coalescer, backend):
         ticket = _ticket(DistanceQuery(0, 8))
         coalescer.submit(ticket)
-        # handed over inside submit: nothing waits for company
+        # not inside submit: the rest of this loop turn may add company
+        assert coalescer.reasons == []
+        await asyncio.sleep(0)
+        # ...and no later than the end of it, with no timer
         assert coalescer.reasons == ["idle"]
         (answer,) = await ticket.future
         assert answer.value == 4
         assert answer.provenance.coalesced == 1
+
+    _run(scenario)
+
+
+def test_tickets_admitted_in_one_turn_ride_one_batch():
+    async def scenario(coalescer, backend):
+        a, b = _ticket(VectorQuery(2, F)), _ticket(VectorQuery(3, F))
+        coalescer.submit(a)
+        coalescer.submit(b)
+        got_a, got_b = await asyncio.gather(a.future, b.future)
+        assert coalescer.reasons == ["idle"]
+        assert backend.calls == [a.queries + b.queries]
+        for (answer,) in (got_a, got_b):
+            assert answer.provenance.coalesced == 2
+
+    _run(scenario)
+
+
+def test_coalesced_counts_tickets_not_queries():
+    G = ((1, 2),)
+
+    async def scenario(coalescer, backend):
+        lone = _ticket(VectorQuery(0, F), VectorQuery(1, F),
+                       DistanceQuery(0, 8, F))
+        coalescer.submit(lone)
+        answers = await lone.future
+        # one ticket's own queries on F are not company
+        assert [a.provenance.coalesced for a in answers] == [1, 1, 1]
+        assert coalescer.counters()["coalesced_queries"] == 0
+
+        # two tickets on different fault sets share a batch
+        backend.hold()
+        coalescer.submit(_ticket(DistanceQuery(0, 1)))
+        await backend.wait_entered()
+        two_on_f = _ticket(VectorQuery(2, F), VectorQuery(3, F))
+        one_on_g = _ticket(VectorQuery(4, G))
+        coalescer.submit(two_on_f)
+        coalescer.submit(one_on_g)
+        backend.gate.set()
+        got_f, got_g = await asyncio.gather(two_on_f.future,
+                                            one_on_g.future)
+        assert backend.calls[2] == two_on_f.queries + one_on_g.queries
+        assert [a.provenance.coalesced for a in got_f + got_g] == [
+            1, 1, 1]
+        assert coalescer.counters() == {
+            "batches": 3, "flushed_queries": 7, "coalesced_queries": 0,
+        }
 
     _run(scenario)
 

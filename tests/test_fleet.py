@@ -10,13 +10,11 @@ merged reports.
 
 import io
 import pickle
-import warnings
 from multiprocessing.reduction import ForkingPickler
 
 import pytest
 
 from repro.exceptions import FleetError, QueryError
-from repro.graphs import generators
 from repro.query import (
     ConnectivityQuery,
     DistanceQuery,

@@ -18,7 +18,6 @@ from repro.exceptions import GraphError, QueryError, ReproError
 from repro.graphs import generators
 from repro.graphs.base import Graph
 from repro.query import (
-    Answer,
     ConnectivityQuery,
     DistanceQuery,
     EccentricityQuery,
@@ -317,6 +316,10 @@ class TestProvenanceAndCaches:
         assert "vector_hits" in info.keys() and "nope" not in info.keys()
         with pytest.raises(KeyError):
             info["nope"]
+        # ``in`` asks about a field; iteration is refused, not by index
+        assert "size" in info and "hits" not in info
+        with pytest.raises(TypeError):
+            list(info)
         with pytest.raises(Exception):
             info.vector_hits = 5
         # equality and hashing are the frozen dataclass's own

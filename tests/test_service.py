@@ -2,8 +2,9 @@
 
 Covers the framed protocol (version handshake, frame limits, typed
 error replies), the coalescer contract (two clients' queries on one
-fault set, sent while another request is in flight, ride one wave,
-pinned via CacheInfo and the ``coalesced`` provenance),
+fault set ride one wave when the server reads both in one poll, or
+when both arrive while another request is in flight — pinned via
+CacheInfo and the ``coalesced`` provenance),
 admission-control backpressure, ticket isolation (one client's
 malformed stream cannot poison batch-mates), disconnect resilience,
 graceful drain, and epoch pushes.
@@ -17,7 +18,6 @@ import pytest
 
 from repro import obs
 from repro.exceptions import QueryError, ServiceError
-from repro.graphs import generators
 from repro.query import DistanceQuery, Session, VectorQuery
 from repro.service import BackgroundServer, ServiceClient
 from repro.service import protocol
@@ -69,11 +69,23 @@ def _connect(server, **kwargs):
     return ServiceClient(*server.address, **kwargs)
 
 
+def _raw_connect(server, name):
+    """A bare socket past the handshake, for writing frames by hand."""
+    sock = socket.create_connection(server.address, timeout=30)
+    protocol.send_message(sock, {
+        "type": "hello", "version": protocol.PROTOCOL_VERSION,
+        "client": name,
+    })
+    assert protocol.recv_message(sock)["type"] == "welcome"
+    return sock
+
+
 class _HeldRequest:
     """A third client's request held in the backend.
 
-    The coalescer flushes a request the moment it finds no batch in
-    flight, so two clients share a batch only when both arrive while
+    An idle coalescer flushes at the end of the loop turn that
+    admitted a request, so two clients whose requests the server reads
+    in different polls share a batch only when both arrive while
     another batch runs.  This holds one: a fault-free pair, which the
     touch filter answers without a wave, from its own client, waiting
     at the gated backend.
@@ -255,6 +267,45 @@ class TestCoalescing:
         assert got_b[0].value == reference.answer_one(
             VectorQuery(1, (e,))).value
 
+    def test_requests_read_in_one_poll_ride_one_wave(self, served,
+                                                    er_medium):
+        """No request is held in flight here: the server's loop is
+        frozen while both frames are written, so its next poll reads
+        them together, and the idle flush at the end of that turn
+        takes both."""
+        server, backend = served
+        e = next(iter(er_medium.edges()))
+        socks = [_raw_connect(server, name) for name in ("a", "b")]
+        try:
+            waves_before = _wave_calls(backend.cache_info())
+            frozen, thawed = threading.Event(), threading.Event()
+
+            def freeze():
+                frozen.set()
+                thawed.wait(30)
+
+            server._loop.call_soon_threadsafe(freeze)
+            try:
+                assert frozen.wait(30)
+                for source, sock in enumerate(socks):
+                    protocol.send_message(sock, {
+                        "type": "answer", "id": 1,
+                        "queries": [VectorQuery(source, (e,))],
+                    })
+            finally:
+                thawed.set()
+            replies = [protocol.recv_message(sock) for sock in socks]
+        finally:
+            for sock in socks:
+                sock.close()
+        assert _wave_calls(backend.cache_info()) - waves_before == 1
+        reference = Session(er_medium, delta=False)
+        for source, reply in enumerate(replies):
+            (answer,) = reply["answers"]
+            assert answer.provenance.coalesced == 2
+            assert answer.value == reference.answer_one(
+                VectorQuery(source, (e,))).value
+
     def test_malformed_ticket_cannot_poison_batch_mates(self, served,
                                                         er_medium):
         server, _ = served
@@ -394,13 +445,8 @@ class TestAdmissionControl:
                 client.answer([DistanceQuery(0, 1)], tenant="nobody")
             assert info.value.code == "tenant"
         # ...and the server's admission check refuses a raw frame.
-        sock = socket.create_connection(server.address)
+        sock = _raw_connect(server, "raw")
         try:
-            protocol.send_message(sock, {
-                "type": "hello", "version": protocol.PROTOCOL_VERSION,
-                "client": "raw",
-            })
-            assert protocol.recv_message(sock)["type"] == "welcome"
             protocol.send_message(sock, {
                 "type": "answer", "id": 1, "tenant": "nobody",
                 "queries": [DistanceQuery(0, 1)],
