@@ -30,6 +30,10 @@ from repro.backends import numpy_or_none
 RESULTS_DIR = pathlib.Path(__file__).resolve().parent / "results"
 SUMMARY_PATH = RESULTS_DIR.parent.parent / "BENCH_SUMMARY.json"
 
+#: What every bench run rewrites itself, relative to the checkout
+#: root: changes there cannot make a run's tree dirty.
+BENCH_OUTPUTS = ("benchmarks/results", "BENCH_SUMMARY.json")
+
 
 def emit(name: str, rows: Sequence[Dict], title: str,
          columns: Optional[Sequence[str]] = None,
@@ -57,12 +61,14 @@ def emit_json(name: str, payload: Dict) -> pathlib.Path:
     snapshot per bench, so the history list is what actually records
     the perf trajectory across PRs.  Each entry is stamped with when
     (``utc``), where (``host``) and at which revision (``rev``) it ran,
-    so a series can be tied to a commit and a machine.
+    and whether the tree had changes that revision does not hold
+    (``dirty``), so a series can be tied to a commit and a machine.
     """
     RESULTS_DIR.mkdir(exist_ok=True)
     path = RESULTS_DIR / f"{name}.json"
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     params = payload.get("params")
+    here = pathlib.Path(__file__).resolve().parent
     aggregate_summary(history_entry={
         "bench": name,
         "params": params,
@@ -81,7 +87,8 @@ def emit_json(name: str, payload: Dict) -> pathlib.Path:
         # idea one layer up (None = not a service bench).
         "clients": (params.get("clients")
                     if isinstance(params, dict) else None),
-        "rev": git_revision(pathlib.Path(__file__).resolve().parent),
+        "rev": git_revision(here),
+        "dirty": git_dirty(here),
         "utc": datetime.datetime.now(datetime.timezone.utc).isoformat(
             timespec="seconds"),
         "host": host_fingerprint(),
@@ -100,6 +107,23 @@ def git_revision(directory: pathlib.Path) -> Optional[str]:
         return None
     rev = done.stdout.strip()
     return rev if done.returncode == 0 and rev else None
+
+
+def git_dirty(directory: pathlib.Path) -> Optional[bool]:
+    """Whether the checkout holding ``directory`` has uncommitted
+    changes or untracked files outside :data:`BENCH_OUTPUTS`, or
+    ``None`` outside a git checkout (or without git)."""
+    try:
+        done = subprocess.run(
+            ["git", "status", "--porcelain", "--untracked-files=all",
+             "--", ":/",
+             *(f":(top,exclude){path}" for path in BENCH_OUTPUTS)],
+            cwd=directory, capture_output=True, text=True, check=False)
+    except OSError:
+        return None
+    if done.returncode != 0:
+        return None
+    return bool(done.stdout.strip())
 
 
 def host_fingerprint() -> Dict[str, object]:

@@ -13,9 +13,13 @@ ways:
 * **service** — N :class:`~repro.service.ServiceClient`\\ s over one
   :class:`~repro.service.BackgroundServer` sharing a single backend
   session.  Each round, the requests the server reads in the first
-  arrival's loop turn share its batch, and the rest share the next
-  one; the planner's fault-set grouping turns each batch's probes
-  into **one** wave.
+  arrival's poll share its batch, which runs on the server's event
+  loop; the requests that arrive while it runs wait in their sockets
+  and share the next one.  The planner's fault-set grouping turns
+  each batch's probes into **one** wave.  The server shares this
+  process, and its interpreter lock, with the client threads, so its
+  batch boundaries are not those of a server in a process of its own
+  (servebench runs that one).
 
 Every service answer is asserted equal to the in-process session's
 answer before any timing is trusted, and the coalesced wave count

@@ -6,18 +6,18 @@ over one shared :class:`~repro.query.Session` (or a sharded
 :class:`~repro.fleet.FleetSession`).  Clients speak the exact session
 dialect over a socket — and the server's
 :class:`~repro.service.Coalescer` batches the requests it reads in
-one event-loop turn together, and folds those that arrive while a
-batch runs into the next one, so clients querying the *same* failure
-ride one masked wave.  This tour walks the four things the service
-adds:
+one poll together.  Each batch runs on the server's event loop, so
+requests that arrive while one runs wait in their sockets and share
+the next: clients querying the *same* failure ride one masked wave.
+This tour walks the four things the service adds:
 
 1. **The dialect over the wire** — `ServiceClient` is a drop-in for
    `Session`: submit/gather/answer, typed answers with provenance.
 2. **Cross-client coalescing under load** — while a third client's
-   sweep is in flight, two clients ask about the same fault set; their
-   requests share the next batch, one wave answers both, and every
-   answer's ``provenance.coalesced`` says how many clients' requests
-   asked about its fault set.
+   sweep runs, two clients ask about the same fault set; their
+   requests wait for it and share the next batch, one wave answers
+   both, and every answer's ``provenance.coalesced`` says how many
+   clients' requests asked about its fault set.
 3. **Admission control** — typed ``ServiceError`` backpressure
    instead of unbounded queues.
 4. **Epoch pushes** — the invalidation channel for clients holding
@@ -56,14 +56,15 @@ def main() -> None:
 
         # --- 2. cross-client coalescing under load -------------------
         # A request that finds the backend idle goes to it at the end
-        # of the loop turn that read it, with whatever else that turn
-        # read; requests that arrive while a batch runs share the
-        # next one.
-        # Carol's sweep over 200 failures is in flight (the server's
-        # stats show it) when Alice and Bob both ask about fault set
-        # F: the coalescer flushes their two requests together when
-        # the sweep finishes, the planner groups them by fault set,
-        # and one wave serves both.
+        # of the loop turn that read it, with whatever else that poll
+        # read.  The batch runs on the server's event loop, which
+        # reads no frames until it ends: requests that arrive
+        # meanwhile wait in their sockets, and the next poll reads
+        # them together into the next batch.
+        # Carol's sweep over 200 failures is running when Alice and
+        # Bob both ask about fault set F: their two requests share
+        # the batch after the sweep, the planner groups them by fault
+        # set, and one wave serves both.
         F, *others = [(e,) for e in graph.edges()]
         a = ServiceClient(host, port, client="noc-alice")
         b = ServiceClient(host, port, client="noc-bob")
@@ -71,9 +72,7 @@ def main() -> None:
         sweep = [VectorQuery(0, faults) for faults in others[:200]]
         sweeping = threading.Thread(target=carol.answer, args=(sweep,))
         sweeping.start()
-        while (sweeping.is_alive() and
-               a.server_stats()["server"]["inflight"] < len(sweep)):
-            time.sleep(0.001)
+        time.sleep(0.05)  # the sweep reaches the server and starts
         barrier = threading.Barrier(2)
         results = {}
 

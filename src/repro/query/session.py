@@ -110,29 +110,6 @@ class SessionStats:
             _obs.inc("repro_session_gathers_total")
             _obs.inc("repro_session_waves_total", waves)
 
-    def publish(self, **labels: Any) -> None:
-        """Mirror these totals into the obs registry as gauges.
-
-        The stats plane's half of the thin-view contract (see
-        :meth:`repro.scenarios.engine.CacheInfo.publish`): booking
-        stays plain-int cheap per gather, and a snapshot point — the
-        service ``stats`` verb, the exporters — re-publishes the
-        ledger.  ``labels`` distinguish ledgers (e.g. per-client).
-        No-op while :mod:`repro.obs` is disabled.
-        """
-        if not _obs.ENABLED:
-            return
-        for name in ("answers", "gathers", "waves", "cache", "filter",
-                     "delta", "wave"):
-            _obs.set_gauge(f"repro_session_{name}",
-                           float(getattr(self, name)), **labels)
-        for backend, count in self.by_backend.items():
-            _obs.set_gauge("repro_session_by_backend", float(count),
-                           backend=backend, **labels)
-        for worker, count in self.by_worker.items():
-            _obs.set_gauge("repro_session_by_worker", float(count),
-                           worker=worker, **labels)
-
     @classmethod
     def merge(cls, stats: Iterable["SessionStats"]) -> "SessionStats":
         """Aggregate many sessions' totals into one fresh snapshot.

@@ -11,13 +11,13 @@ masked wave, not one each.  This package is that front:
   frame, handshake-enforced :data:`~repro.service.protocol.PROTOCOL_VERSION`).
 * :class:`~repro.service.coalescer.Coalescer` — group-commit batches
   (an idle coalescer flushes at the end of the loop turn that
-  admitted a request, so requests read in one poll share a batch;
-  requests that arrive while one runs share the next) that merge
-  every connection's queries into one backend gather, where the
-  planner's canonical fault-set grouping turns cross-client
-  duplicates into shared waves; each answer's ``coalesced`` counts
-  the requests (tickets) in its batch that asked about its fault
-  set.
+  admitted a request, so requests read in one poll share a batch; a
+  batch runs on the event loop, so requests that arrive while it
+  runs wait in their sockets and share the next) that merge every
+  connection's queries into one backend gather, where the planner's
+  canonical fault-set grouping turns cross-client duplicates into
+  shared waves; each answer's ``coalesced`` counts the requests
+  (tickets) in its batch that asked about its fault set.
 * :class:`~repro.service.server.ScenarioServer` — the asyncio server:
   admission control (per-client and global in-flight weights, typed
   ``admission`` backpressure replies), graceful drain, ``epoch`` push

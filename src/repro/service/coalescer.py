@@ -4,17 +4,20 @@ The service's reason to exist: the paper's workload is *many queries
 against many fault sets over one base graph*, and concurrent clients
 asking about the same failure should cost one masked wave, not N.
 The :class:`Coalescer` makes that happen without touching the
-planner.  It batches by group commit: the first ticket admitted while
-no batch is in flight schedules one flush for the end of the current
+planner.  It batches by group commit: the first ticket admitted to
+an idle coalescer schedules one flush for the end of the current
 event-loop turn, so every request whose frame the server read in the
-same poll rides the same batch; tickets admitted while a batch runs
-flush together the moment it finishes (or on reaching ``max_batch``
-queries).  No timer is involved: a lone client waits one loop turn,
-never for company that is not coming.  The batch goes to the shared
-backend session — whose planner already groups by canonical fault
-set, so queries from different clients sharing a fault set ride one
-wave — and the answers are demultiplexed back to each
-:class:`Ticket` in submission order.
+same poll rides the same batch (a batch also flushes at once on
+reaching ``max_batch`` queries).  The batch is answered right there,
+on the event loop's thread: while it runs the loop reads no frames,
+so requests that arrive meanwhile wait in their sockets, and the
+next poll reads them together into the next batch.  No timer and no
+thread is involved: a lone client waits one loop turn, never for
+company that is not coming.  The batch goes to the shared backend
+session — whose planner already groups by canonical fault set, so
+queries from different clients sharing a fault set ride one wave —
+and the answers are demultiplexed back to each :class:`Ticket` in
+submission order.
 
 Each answer's :class:`~repro.query.queries.Provenance` is stamped
 with ``coalesced``: how many tickets in its batch group asked about
@@ -35,17 +38,8 @@ from __future__ import annotations
 import asyncio
 import pickle
 from collections import Counter, OrderedDict
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
-from typing import (
-    Any,
-    Callable,
-    Dict,
-    List,
-    Optional,
-    Set,
-    Tuple,
-)
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro import obs as _obs
 from repro.exceptions import ReproError
@@ -54,7 +48,9 @@ from repro.query.queries import Answer, Query
 
 __all__ = ["Coalescer", "Ticket"]
 
-#: A blocking backend call: (queries, scheme, tenant) -> answers.
+#: A blocking backend call: (queries, scheme, tenant) -> answers.  It
+#: runs on the event loop's thread, which serves nothing else until it
+#: returns.
 AnswerFn = Callable[[List[Query], Any, str], List[Answer]]
 
 
@@ -99,15 +95,14 @@ class Coalescer:
     ----------
     answer_fn:
         The blocking backend call ``(queries, scheme, tenant) ->
-        answers``.  It runs on the coalescer's single worker thread —
-        the backend session serializes gathers anyway, so one thread
-        is the true concurrency and the event loop never blocks on a
-        wave.
+        answers``.  It runs on the event loop's thread, one batch at
+        a time — the backend session serializes gathers anyway — so
+        the loop serves nothing else while a batch runs, and the
+        backend is never entered from two threads.
     max_batch:
         Cap on one batch: flush as soon as the pending tickets hold
-        this many queries, even while another batch is in flight
-        (counting queries, not tickets — admission control upstream
-        bounds both).
+        this many queries (counting queries, not tickets — admission
+        control upstream bounds both).
 
     All entry points must be called on the owning event loop.
     """
@@ -118,14 +113,8 @@ class Coalescer:
         self.max_batch = max(1, int(max_batch))
         self._pending: List[Ticket] = []
         self._pending_queries = 0
-        #: Flushed batches whose task has not finished yet.
-        self._inflight = 0
         #: An end-of-turn idle flush is scheduled and has not run.
         self._idle_scheduled = False
-        self._tasks: Set["asyncio.Task[None]"] = set()
-        self._executor = ThreadPoolExecutor(
-            max_workers=1, thread_name_prefix="repro-coalescer",
-        )
         #: Micro-batches flushed so far.
         self.batches = 0
         #: Queries answered through flushed batches.
@@ -141,48 +130,43 @@ class Coalescer:
         """Admit one ticket.
 
         The pending tickets flush at once when they hold ``max_batch``
-        queries.  Otherwise, the first ticket an idle coalescer admits
-        schedules one flush for the end of this loop turn, so tickets
-        admitted in the same turn ride its batch; while a batch is in
-        flight, they wait for it to finish.
+        queries, and their batch is answered before this returns.
+        Otherwise, the first ticket an idle coalescer admits schedules
+        one flush for the end of this loop turn, so tickets admitted
+        in the same turn ride its batch.
         """
         self._pending.append(ticket)
         self._pending_queries += len(ticket.queries)
         if self._pending_queries >= self.max_batch:
             self.flush("size")
-        elif not self._inflight and not self._idle_scheduled:
+        elif not self._idle_scheduled:
             self._idle_scheduled = True
             asyncio.get_running_loop().call_soon(self._flush_idle)
 
     def _flush_idle(self) -> None:
-        """The end-of-turn flush :meth:`submit` scheduled: a no-op if a
-        batch went in flight meanwhile (its end flushes the rest)."""
+        """The end-of-turn flush :meth:`submit` scheduled."""
         self._idle_scheduled = False
-        if not self._inflight:
-            self.flush("idle")
+        self.flush("idle")
 
     def flush(self, reason: str) -> None:
-        """Hand the pending tickets to the backend as one batch (no-op
-        when none wait); ``reason`` is ``size``, ``idle`` or ``drain``."""
+        """Answer the pending tickets as one batch, on this thread
+        (no-op when none wait); ``reason`` is ``size``, ``idle`` or
+        ``drain``."""
         batch, self._pending = self._pending, []
         queries = self._pending_queries
         self._pending_queries = 0
         if not batch:
             return
         self.batches += 1
-        self._inflight += 1
         if _obs.ENABLED:
             _obs.inc("repro_coalescer_flushes_total", reason=reason)
             _obs.observe("repro_coalescer_batch_size", float(queries))
-        task = asyncio.get_running_loop().create_task(
-            self._run_batch(batch))
-        self._tasks.add(task)
-        task.add_done_callback(self._tasks.discard)
+        self._run_batch(batch)
 
     # ------------------------------------------------------------------
     # execution
     # ------------------------------------------------------------------
-    async def _run_batch(self, batch: List[Ticket]) -> None:
+    def _run_batch(self, batch: List[Ticket]) -> None:
         """Group one flushed batch, answer each group, demultiplex.
 
         Groups split by ``(tenant, scheme)``: tenants answer over
@@ -193,25 +177,16 @@ class Coalescer:
         """
         groups: "OrderedDict[Tuple[str, Optional[bytes]], List[Ticket]]"
         groups = OrderedDict()
-        try:
-            for ticket in batch:
-                scheme_key = (None if ticket.scheme is None else
-                              pickle.dumps(ticket.scheme,
-                                           protocol=pickle.HIGHEST_PROTOCOL))
-                groups.setdefault((ticket.tenant, scheme_key),
-                                  []).append(ticket)
-            for (tenant, _), tickets in groups.items():
-                await self._run_group(tenant, tickets)
-        finally:
-            # Not ``_tasks``: a task leaves it a loop turn late, after
-            # its answers' continuations ran, and a ticket they submit
-            # must find the coalescer idle or it is never flushed.
-            self._inflight -= 1
-            if not self._inflight:
-                self.flush("idle")
+        for ticket in batch:
+            scheme_key = (None if ticket.scheme is None else
+                          pickle.dumps(ticket.scheme,
+                                       protocol=pickle.HIGHEST_PROTOCOL))
+            groups.setdefault((ticket.tenant, scheme_key),
+                              []).append(ticket)
+        for (tenant, _), tickets in groups.items():
+            self._run_group(tenant, tickets)
 
-    async def _run_group(self, tenant: str,
-                         tickets: List[Ticket]) -> None:
+    def _run_group(self, tenant: str, tickets: List[Ticket]) -> None:
         queries = [q for t in tickets for q in t.queries]
         scheme = tickets[0].scheme
         counts = _ticket_counts(tickets)
@@ -232,24 +207,24 @@ class Coalescer:
             )
             ctx = wave_span.context()
         try:
-            await self._answer_group(tenant, tickets, queries, scheme,
-                                     counts, ctx)
+            self._answer_group(tenant, tickets, queries, scheme, counts,
+                               ctx)
         finally:
             if wave_span is not None:
                 _obs.finish_span(wave_span)
 
-    async def _answer_group(self, tenant: str, tickets: List[Ticket],
-                            queries: List[Query], scheme: Any,
-                            counts: "Counter[Any]",
-                            ctx: Optional[TraceContext]) -> None:
+    def _answer_group(self, tenant: str, tickets: List[Ticket],
+                      queries: List[Query], scheme: Any,
+                      counts: "Counter[Any]",
+                      ctx: Optional[TraceContext]) -> None:
         try:
-            answers = await self._call(queries, scheme, tenant, ctx)
+            answers = self._call(queries, scheme, tenant, ctx)
         except Exception as exc:
             if isinstance(exc, ReproError) and len(tickets) > 1:
                 # A merged batch failed: isolate the guilty ticket(s)
                 # by re-answering each alone, so one client's
                 # malformed stream cannot fail its batch-mates.
-                await self._retry_alone(tenant, tickets, ctx)
+                self._retry_alone(tenant, tickets, ctx)
                 return
             # A lone ticket's own error, or a backend bug.
             for ticket in tickets:
@@ -267,12 +242,12 @@ class Coalescer:
             if not ticket.future.done():
                 ticket.future.set_result(chunk)
 
-    async def _retry_alone(self, tenant: str, tickets: List[Ticket],
-                           ctx: Optional[TraceContext] = None) -> None:
+    def _retry_alone(self, tenant: str, tickets: List[Ticket],
+                     ctx: Optional[TraceContext]) -> None:
         for ticket in tickets:
             try:
-                answers = await self._call(
-                    ticket.queries, ticket.scheme, tenant, ctx)
+                answers = self._call(ticket.queries, ticket.scheme,
+                                     tenant, ctx)
             except Exception as exc:
                 if not ticket.future.done():
                     ticket.future.set_exception(exc)
@@ -282,35 +257,16 @@ class Coalescer:
                 ticket.future.set_result(
                     _stamp(answers, _ticket_counts([ticket])))
 
-    async def _call(self, queries: List[Query], scheme: Any,
-                    tenant: str,
-                    ctx: Optional[TraceContext] = None) -> List[Answer]:
-        loop = asyncio.get_running_loop()
-
-        # run_in_executor does not carry contextvars into the worker
-        # thread, so the wave context is re-activated explicitly —
-        # backend spans (planner.execute, fleet.gather, engine waves)
-        # then parent under the coalescer's shared wave span.
-        def call() -> List[Answer]:
-            with _obs.activate(ctx):
-                return self._answer_fn(queries, scheme, tenant)
-
-        return await loop.run_in_executor(self._executor, call)
+    def _call(self, queries: List[Query], scheme: Any, tenant: str,
+              ctx: Optional[TraceContext]) -> List[Answer]:
+        # Backend spans (planner.execute, fleet.gather, engine waves)
+        # parent under the coalescer's shared wave span.
+        with _obs.activate(ctx):
+            return self._answer_fn(queries, scheme, tenant)
 
     # ------------------------------------------------------------------
-    # lifecycle
+    # reporting
     # ------------------------------------------------------------------
-    async def drain(self) -> None:
-        """Flush pending work and wait for every in-flight batch."""
-        self.flush("drain")
-        while self._tasks:
-            await asyncio.gather(*list(self._tasks),
-                                 return_exceptions=True)
-
-    def close(self) -> None:
-        """Release the worker thread (idempotent; after :meth:`drain`)."""
-        self._executor.shutdown(wait=False)
-
     def counters(self) -> Dict[str, int]:
         """JSON-able snapshot of the coalescing counters."""
         return {

@@ -9,6 +9,16 @@ queries admitted into the :class:`~repro.service.coalescer.Coalescer`
 so concurrent clients querying the same fault set ride one masked
 wave.
 
+Everything runs on one event loop, backend calls included: the
+coalescer answers each batch on the loop's thread, so the backend is
+never entered from two threads at once.  While a batch runs, the
+server reads no frames — requests that arrive meanwhile wait in their
+sockets, and the next poll reads them together into the next batch.
+A ``stats`` request, an admission refusal, a new connection or a
+drain likewise waits for the batch to end, which bounds the wait by
+one batch.  (``repro serve --metrics-port`` is served by a thread of
+its own and is unaffected.)
+
 Admission control is weight-based and deterministic: a request of
 ``k`` queries is refused (typed ``admission`` error reply, nothing
 queued) when it would push the sending client above
@@ -138,7 +148,7 @@ class ScenarioServer:
         self._draining = True
         if self._server is not None:
             self._server.close()
-        await self.coalescer.drain()
+        self.coalescer.flush("drain")
         while self._finish_tasks:
             await asyncio.gather(*list(self._finish_tasks),
                                  return_exceptions=True)
@@ -146,7 +156,6 @@ class ScenarioServer:
             conn.writer.close()
         if self._server is not None:
             await self._server.wait_closed()
-        self.coalescer.close()
 
     async def close(self) -> None:
         """Drain, then make double-closes harmless."""
@@ -401,7 +410,8 @@ class ScenarioServer:
 
     def _backend_answer(self, queries: List[Query], scheme: Any,
                         tenant: str) -> List[Answer]:
-        """The blocking backend call (runs on the coalescer thread)."""
+        """The blocking backend call; it runs on the event loop's
+        thread, which reads no frames until it returns."""
         return self.backend.answer(queries, scheme, tenant=tenant)
 
     # ------------------------------------------------------------------

@@ -2,9 +2,11 @@
 
 ``emit_json`` appends one entry per run to ``BENCH_SUMMARY.json``'s
 ``history``; each new entry carries when (``utc``), where (``host``)
-and at which revision (``rev``) it ran, and the earlier history is
-kept as it was.  The harness paths are pointed at a temporary
-directory, so the checkout's own summary is never touched.
+and at which revision (``rev``) it ran, and whether its tree held
+changes outside the bench outputs (``dirty``), and the earlier history
+is kept as it was.  The harness paths are pointed at a temporary
+directory, so the checkout's own summary is never touched; the dirty
+check runs in a throwaway repository.
 """
 
 import datetime
@@ -12,6 +14,7 @@ import importlib.util
 import json
 import pathlib
 import platform
+import subprocess
 
 import pytest
 
@@ -53,6 +56,7 @@ def test_emit_json_appends_stamped_entries_and_keeps_history(harness):
         assert stamp.utcoffset() == datetime.timedelta(0)
         assert stamp.microsecond == 0
         assert entry["rev"] == harness.git_revision(_HARNESS.parent)
+        assert entry["dirty"] == harness.git_dirty(_HARNESS.parent)
         host = entry["host"]
         assert sorted(host) == ["nproc", "numpy", "python"]
         assert host["nproc"] >= 1
@@ -70,3 +74,46 @@ def test_no_numpy_reads_none(harness, monkeypatch):
 
 def test_revision_is_none_outside_a_checkout(harness, tmp_path):
     assert harness.git_revision(tmp_path) is None
+
+
+def _git(repo, *args):
+    subprocess.run(["git", "-c", "user.name=bench",
+                    "-c", "user.email=bench@example.invalid",
+                    "-c", "commit.gpgsign=false", *args],
+                   cwd=repo, check=True, capture_output=True)
+
+
+@pytest.fixture()
+def checkout(tmp_path):
+    """A throwaway repository with one commit of a module and the
+    two bench outputs."""
+    repo = tmp_path / "checkout"
+    results = repo / "benchmarks" / "results"
+    results.mkdir(parents=True)
+    (results / "alpha.json").write_text("{}\n")
+    (repo / "BENCH_SUMMARY.json").write_text("{}\n")
+    (repo / "module.py").write_text("x = 1\n")
+    _git(repo, "init", "-q")
+    _git(repo, "add", "-A")
+    _git(repo, "commit", "-q", "-m", "seed")
+    return repo
+
+
+def test_dirty_ignores_only_the_bench_outputs(harness, checkout):
+    assert harness.git_dirty(checkout) is False
+    results = checkout / "benchmarks" / "results"
+    (results / "alpha.json").write_text('{"speedup": 2.0}\n')
+    (results / "beta.json").write_text("{}\n")
+    (checkout / "BENCH_SUMMARY.json").write_text('{"history": []}\n')
+    assert harness.git_dirty(checkout) is False
+    assert harness.git_dirty(results) is False  # from a subdirectory
+    (checkout / "module.py").write_text("x = 2\n")
+    assert harness.git_dirty(results) is True
+    _git(checkout, "checkout", "--", "module.py")
+    assert harness.git_dirty(checkout) is False
+    (checkout / "benchmarks" / "bench_new.py").write_text("")
+    assert harness.git_dirty(checkout) is True
+
+
+def test_dirty_is_none_outside_a_checkout(harness, tmp_path):
+    assert harness.git_dirty(tmp_path) is None

@@ -1,19 +1,22 @@
 """Tests for the coalescer's group commit (repro.service.coalescer).
 
 The :class:`Coalescer` is driven directly on an event loop.  Its
-backend is a fake that answers through a real ``Session`` and can be
-held at a gate (a ``threading.Event``), so every ordering below is
-forced by the test: no timer, no sleep.
+backend is a fake that answers through a real ``Session`` and can
+submit tickets while it answers a call — the tickets a server reads
+in the poll after a batch, since the loop reads no frames while one
+runs — so every ordering below is forced by the test: no thread, no
+timer, no sleep.
 
-The contract pinned here: tickets admitted to an idle coalescer go
-to the backend as one batch at the end of the event-loop turn that
-admitted them (flush reason ``idle``), never later and never from
-inside ``submit``; tickets admitted while a batch runs ride one batch
-flushed when it finishes; ``max_batch`` caps a batch (reason
-``size``); ``drain()`` answers everything admitted (reason
-``drain``); only a merged batch that fails is re-answered ticket by
-ticket; and ``coalesced`` counts the tickets that asked about an
-answer's fault set, not the queries.
+The contract pinned here: every batch is answered on the event
+loop's thread; tickets admitted to an idle coalescer go to the
+backend as one batch at the end of the event-loop turn that admitted
+them (flush reason ``idle``), never later and never from inside
+``submit``; tickets admitted while a batch runs ride one next batch;
+``max_batch`` caps a batch (reason ``size``); ``flush("drain")``
+answers everything admitted at once (reason ``drain``); only a
+merged batch that fails is re-answered ticket by ticket; and
+``coalesced`` counts the tickets that asked about an answer's fault
+set, not the queries.
 """
 
 import asyncio
@@ -36,38 +39,28 @@ F = ((0, 1),)
 class _Backend:
     """A fake ``answer_fn`` over a real session.
 
-    Records every call's queries.  After :meth:`hold`, a call sets
-    ``entered`` and blocks until ``gate`` is set; ``errors`` maps a
-    call's number (1-based) to an exception that call raises instead
-    of answering.
+    Records every call's queries and the thread it ran on.  ``during``
+    maps a call's number (1-based) to a function run while that call
+    answers; ``errors`` maps a call's number to an exception that
+    call raises instead of answering.
     """
 
     def __init__(self):
         self.session = Session(generators.grid(3, 3))
         self.calls = []
+        self.threads = []
+        self.during = {}
         self.errors = {}
-        self.entered = threading.Event()
-        self.gate = threading.Event()
-        self.gate.set()
 
     def __call__(self, queries, scheme, tenant):
         self.calls.append(list(queries))
+        self.threads.append(threading.get_ident())
         number = len(self.calls)
-        self.entered.set()
-        if not self.gate.wait(WAIT):
-            raise TimeoutError("the test never opened the gate")
+        if number in self.during:
+            self.during[number]()
         if number in self.errors:
             raise self.errors[number]
         return self.session.answer(queries, scheme, tenant=tenant)
-
-    def hold(self):
-        """Hold the calls that start from now on at the gate."""
-        self.entered.clear()
-        self.gate.clear()
-
-    async def wait_entered(self):
-        """Wait, off the loop, until a call is held at the gate."""
-        assert await asyncio.to_thread(self.entered.wait, WAIT)
 
 
 class _Recording(Coalescer):
@@ -91,17 +84,12 @@ def _ticket(*queries):
 
 def _run(scenario, **kwargs):
     """Run ``scenario(coalescer, backend)`` on a fresh event loop,
-    bounded by WAIT; the coalescer is drained and closed after."""
+    bounded by WAIT."""
     backend = _Backend()
 
     async def main():
         coalescer = _Recording(backend, **kwargs)
-        try:
-            await asyncio.wait_for(scenario(coalescer, backend), WAIT)
-        finally:
-            backend.gate.set()
-            await coalescer.drain()
-            coalescer.close()
+        await asyncio.wait_for(scenario(coalescer, backend), WAIT)
 
     asyncio.run(main())
 
@@ -120,6 +108,23 @@ def test_lone_ticket_goes_to_the_backend_within_one_loop_turn():
         assert answer.provenance.coalesced == 1
 
     _run(scenario)
+
+
+def test_backend_runs_on_the_event_loop_thread():
+    async def scenario(coalescer, backend):
+        loop_thread = threading.get_ident()
+        lone = _ticket(DistanceQuery(0, 8))
+        coalescer.submit(lone)
+        await lone.future
+        backlog = [_ticket(DistanceQuery(0, t)) for t in (1, 2)]
+        for ticket in backlog:
+            coalescer.submit(ticket)  # the second flushes for size
+        coalescer.submit(_ticket(DistanceQuery(0, 3)))
+        coalescer.flush("drain")
+        assert coalescer.reasons == ["idle", "size", "drain"]
+        assert backend.threads == [loop_thread] * 3
+
+    _run(scenario, max_batch=2)
 
 
 def test_tickets_admitted_in_one_turn_ride_one_batch():
@@ -149,14 +154,15 @@ def test_coalesced_counts_tickets_not_queries():
         assert coalescer.counters()["coalesced_queries"] == 0
 
         # two tickets on different fault sets share a batch
-        backend.hold()
-        coalescer.submit(_ticket(DistanceQuery(0, 1)))
-        await backend.wait_entered()
         two_on_f = _ticket(VectorQuery(2, F), VectorQuery(3, F))
         one_on_g = _ticket(VectorQuery(4, G))
-        coalescer.submit(two_on_f)
-        coalescer.submit(one_on_g)
-        backend.gate.set()
+
+        def arrive():
+            coalescer.submit(two_on_f)
+            coalescer.submit(one_on_g)
+
+        backend.during[2] = arrive
+        coalescer.submit(_ticket(DistanceQuery(0, 1)))
         got_f, got_g = await asyncio.gather(two_on_f.future,
                                             one_on_g.future)
         assert backend.calls[2] == two_on_f.queries + one_on_g.queries
@@ -171,17 +177,21 @@ def test_coalesced_counts_tickets_not_queries():
 
 def test_tickets_admitted_in_flight_ride_one_next_batch():
     async def scenario(coalescer, backend):
-        backend.hold()
         first = _ticket(DistanceQuery(0, 1))
-        coalescer.submit(first)
-        await backend.wait_entered()
         a, b = _ticket(VectorQuery(2, F)), _ticket(VectorQuery(3, F))
-        coalescer.submit(a)
-        coalescer.submit(b)
-        assert coalescer.reasons == ["idle"]  # both wait behind first
-        backend.gate.set()
+        reasons_then = []
+
+        def arrive():
+            coalescer.submit(a)
+            coalescer.submit(b)
+            reasons_then.append(list(coalescer.reasons))
+
+        backend.during[1] = arrive
+        coalescer.submit(first)
         got_a, got_b = await asyncio.gather(a.future, b.future)
+        assert reasons_then == [["idle"]]  # both wait behind first
         assert coalescer.reasons == ["idle", "idle"]
+        assert first.future.result()[0].value == 1
         assert backend.calls == [first.queries, a.queries + b.queries]
         for (answer,) in (got_a, got_b):
             assert answer.provenance.coalesced == 2
@@ -194,26 +204,25 @@ def test_tickets_admitted_in_flight_ride_one_next_batch():
 
 def test_max_batch_splits_a_backlog():
     async def scenario(coalescer, backend):
-        backend.hold()
-        coalescer.submit(_ticket(DistanceQuery(0, 1)))
-        await backend.wait_entered()
         backlog = [_ticket(DistanceQuery(0, t)) for t in range(2, 7)]
         for ticket in backlog:
             coalescer.submit(ticket)
-        # every second ticket fills a batch; the fifth waits
-        assert coalescer.reasons == ["idle", "size", "size"]
-        backend.gate.set()
+        # every second ticket fills a batch, answered inside submit;
+        # the fifth waits for the end of the turn
+        assert coalescer.reasons == ["size", "size"]
+        assert [t.future.done() for t in backlog] == [
+            True, True, True, True, False]
         await asyncio.gather(*(t.future for t in backlog))
-        assert coalescer.reasons == ["idle", "size", "size", "idle"]
-        assert [len(call) for call in backend.calls] == [1, 2, 2, 1]
+        assert coalescer.reasons == ["size", "size", "idle"]
+        assert [len(call) for call in backend.calls] == [2, 2, 1]
 
     _run(scenario, max_batch=2)
 
 
 def test_ticket_submitted_from_an_answers_continuation_is_answered():
-    """The next request of a client that just got its answer arrives
-    while the finished batch's task is still registered: the
-    coalescer must count it idle, or the ticket is never flushed."""
+    """The next request of a client that just got its answer is
+    submitted from that answer's continuation, after its batch: it
+    must still be flushed."""
     async def scenario(coalescer, backend):
         first = _ticket(DistanceQuery(0, 1))
         coalescer.submit(first)
@@ -230,13 +239,14 @@ def test_ticket_submitted_from_an_answers_continuation_is_answered():
 def test_backend_bug_fails_its_batch_and_the_next_ticket_is_answered():
     async def scenario(coalescer, backend):
         backend.errors[2] = RuntimeError("backend bug")
-        backend.hold()
-        coalescer.submit(_ticket(DistanceQuery(0, 1)))
-        await backend.wait_entered()
         a, b = _ticket(DistanceQuery(0, 2)), _ticket(DistanceQuery(0, 3))
-        coalescer.submit(a)
-        coalescer.submit(b)
-        backend.gate.set()
+
+        def arrive():
+            coalescer.submit(a)
+            coalescer.submit(b)
+
+        backend.during[1] = arrive
+        coalescer.submit(_ticket(DistanceQuery(0, 1)))
         for ticket in (a, b):
             with pytest.raises(RuntimeError, match="backend bug"):
                 await ticket.future
@@ -250,24 +260,19 @@ def test_backend_bug_fails_its_batch_and_the_next_ticket_is_answered():
     _run(scenario)
 
 
-def test_drain_answers_pending_and_in_flight_tickets():
+def test_drain_answers_pending_tickets_at_once():
     async def scenario(coalescer, backend):
-        backend.hold()
-        running = _ticket(DistanceQuery(0, 1))
-        coalescer.submit(running)
-        await backend.wait_entered()
-        pending = _ticket(DistanceQuery(0, 2))
-        coalescer.submit(pending)
-
-        async def open_gate():
-            backend.gate.set()
-
-        # gather starts drain() first, so its flush hands the pending
-        # ticket over while the running batch still holds the gate
-        await asyncio.gather(coalescer.drain(), open_gate())
-        assert coalescer.reasons == ["idle", "drain"]
-        assert running.future.result()[0].value == 1
-        assert pending.future.result()[0].value == 2
+        a, b = _ticket(DistanceQuery(0, 1)), _ticket(DistanceQuery(0, 2))
+        coalescer.submit(a)
+        coalescer.submit(b)
+        coalescer.flush("drain")
+        # answered before flush returns: no batch is left running
+        assert a.future.result()[0].value == 1
+        assert b.future.result()[0].value == 2
+        await asyncio.sleep(0)
+        # the idle flush submit scheduled finds nothing left to do
+        assert coalescer.reasons == ["drain"]
+        assert backend.calls == [a.queries + b.queries]
 
     _run(scenario)
 
@@ -280,14 +285,15 @@ def test_only_a_merged_failure_is_reanswered_ticket_by_ticket():
             await lone.future
         assert backend.calls == [lone.queries]  # its error, once
 
-        backend.hold()
-        coalescer.submit(_ticket(DistanceQuery(0, 1)))
-        await backend.wait_entered()
         good = _ticket(DistanceQuery(0, 2))
         bad = _ticket(DistanceQuery(0, 10 ** 6))
-        coalescer.submit(good)
-        coalescer.submit(bad)
-        backend.gate.set()
+
+        def arrive():
+            coalescer.submit(good)
+            coalescer.submit(bad)
+
+        backend.during[2] = arrive
+        coalescer.submit(_ticket(DistanceQuery(0, 1)))
         (answer,) = await good.future
         assert answer.value == 2
         with pytest.raises(QueryError):

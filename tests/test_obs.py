@@ -6,7 +6,7 @@ helpers no-op while off, ``span()`` yields None), the tracing plane
 (parent links, context currency, portable TraceContext, the bounded
 span buffer, cross-process ingest), the exporters (Prometheus text,
 JSON-lines, the scrape server), and the thin-view ``publish`` seam on
-CacheInfo / SessionStats.  The cross-process chains themselves are
+CacheInfo.  The cross-process chains themselves are
 asserted where they happen: test_fleet.py (pickle seam) and
 test_service.py (frames + coalescer).
 """
@@ -348,16 +348,12 @@ class TestInstrumentedSession:
         session.answer([DistanceQuery(0, 15)])
         assert obs.snapshot() == [] and obs.span_records() == []
 
-    def test_publish_mirrors_stats_and_cache_info(self, grid4):
+    def test_publish_mirrors_cache_info(self, grid4):
         obs.enable()
         session = Session(grid4, delta=False)
         session.answer([DistanceQuery(0, 15, [(0, 1)])])
-        session.stats.publish(client="t0")
         session.cache_info().publish()
         records = obs.snapshot()
-        answers_gauge, = _by_name(records, "repro_session_answers")
-        assert answers_gauge["value"] == float(session.stats.answers)
-        assert answers_gauge["labels"] == {"client": "t0"}
         maxsize, = _by_name(records, "repro_cache_maxsize")
         assert maxsize["value"] == float(session.cache_info().maxsize)
         backends = _by_name(records, "repro_cache_wave_backends")
@@ -367,6 +363,5 @@ class TestInstrumentedSession:
     def test_publish_is_noop_while_disabled(self, grid4):
         session = Session(grid4)
         session.answer([DistanceQuery(0, 15)])
-        session.stats.publish()
         session.cache_info().publish()
         assert obs.snapshot() == []

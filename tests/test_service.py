@@ -3,8 +3,8 @@
 Covers the framed protocol (version handshake, frame limits, typed
 error replies), the coalescer contract (two clients' queries on one
 fault set ride one wave when the server reads both in one poll, or
-when both arrive while another request is in flight — pinned via
-CacheInfo and the ``coalesced`` provenance),
+when both arrive while another request's batch holds the server's
+event loop — pinned via CacheInfo and the ``coalesced`` provenance),
 admission-control backpressure, ticket isolation (one client's
 malformed stream cannot poison batch-mates), disconnect resilience,
 graceful drain, and epoch pushes.
@@ -83,16 +83,16 @@ def _raw_connect(server, name):
 class _HeldRequest:
     """A third client's request held in the backend.
 
-    An idle coalescer flushes at the end of the loop turn that
-    admitted a request, so two clients whose requests the server reads
-    in different polls share a batch only when both arrive while
-    another batch runs.  This holds one: a fault-free pair, which the
-    touch filter answers without a wave, from its own client, waiting
-    at the gated backend.
+    The server answers each batch on its event loop, so a held
+    request holds the loop the way a long wave does: the server reads
+    no frames until it is released.  Requests written meanwhile wait
+    in their sockets, and the first poll after the release reads them
+    together into one batch.  The held request is a fault-free pair,
+    which the touch filter answers without a wave, from its own
+    client; the clients it holds back must connect before it is held.
     """
 
     def __init__(self, server):
-        self._server = server
         self._backend = server.server.backend
         self._backend.entered.clear()
         self._backend.gate.clear()
@@ -103,12 +103,19 @@ class _HeldRequest:
         assert self._backend.entered.wait(30)
 
     def release_after(self, *calls):
-        """Run one call per thread; once the server has admitted all
-        their requests (each sends one query), release the held one,
-        so they flush together as one batch.  Returns results in call
+        """Run one call per thread; once each has written its request
+        frame (each sends one), release the held request, so the
+        server reads them in one poll.  Returns results in call
         order, re-raising the first failure."""
         results = [None] * len(calls)
         errors = []
+        written = threading.Semaphore(0)
+        send = protocol.send_message
+
+        def send_and_signal(sock, message,
+                            max_frame=protocol.DEFAULT_MAX_FRAME):
+            send(sock, message, max_frame)
+            written.release()
 
         def run(i, call):
             try:
@@ -118,13 +125,15 @@ class _HeldRequest:
 
         threads = [threading.Thread(target=run, args=(i, call))
                    for i, call in enumerate(calls)]
-        for t in threads:
-            t.start()
-        deadline = time.monotonic() + 30
-        while self._server.server.counters()["inflight"] <= len(calls):
-            assert time.monotonic() < deadline, "requests not admitted"
-            time.sleep(0.001)
-        self._backend.gate.set()
+        protocol.send_message = send_and_signal
+        try:
+            for t in threads:
+                t.start()
+            for _ in calls:
+                assert written.acquire(timeout=30), "request not written"
+        finally:
+            protocol.send_message = send
+            self._backend.gate.set()
         for t in threads + [self._thread]:
             t.join(30)
             assert not t.is_alive()
@@ -344,10 +353,10 @@ class TestTracing:
         attribute."""
         server, _ = served
         e = next(iter(er_medium.edges()))
-        held = _HeldRequest(server)  # sent untraced: recording is off
-        obs.enable()
         with _connect(server, client="a") as a, \
                 _connect(server, client="b") as b:
+            held = _HeldRequest(server)  # sent untraced: recording is off
+            obs.enable()
             held.release_after(
                 lambda: a.answer([VectorQuery(0, (e,))]),
                 lambda: b.answer([VectorQuery(1, (e,))]),
