@@ -10,6 +10,12 @@ instead of a directory of per-bench snapshots.
 
 Run ``python benchmarks/_harness.py`` to rebuild the summary from
 whatever ``results/*.json`` files currently exist.
+
+A ``--quick`` smoke run writes its tables and JSON under
+``results/quick/`` instead (gitignored), so it never overwrites the
+committed snapshot of a full run, and the summary's ``benches`` and
+``speedups`` fold only the top-level full-run files.  Its ``history``
+entry is still appended, marked ``quick``.
 """
 
 from __future__ import annotations
@@ -35,15 +41,23 @@ SUMMARY_PATH = RESULTS_DIR.parent.parent / "BENCH_SUMMARY.json"
 BENCH_OUTPUTS = ("benchmarks/results", "BENCH_SUMMARY.json")
 
 
+def results_dir(quick: bool = False) -> pathlib.Path:
+    """Where a run's snapshots go: ``results/``, or ``results/quick/``
+    for a ``--quick`` smoke run (created on demand)."""
+    path = RESULTS_DIR / "quick" if quick else RESULTS_DIR
+    path.mkdir(parents=True, exist_ok=True)
+    return path
+
+
 def emit(name: str, rows: Sequence[Dict], title: str,
          columns: Optional[Sequence[str]] = None,
-         notes: str = "") -> str:
-    """Render, print, and persist one experiment table."""
+         notes: str = "", quick: bool = False) -> str:
+    """Render, print, and persist one experiment table (under
+    ``results/quick/`` when ``quick``)."""
     table = format_table(rows, columns=columns, title=title)
     if notes:
         table = table + "\n" + notes
-    RESULTS_DIR.mkdir(exist_ok=True)
-    (RESULTS_DIR / f"{name}.txt").write_text(table + "\n")
+    (results_dir(quick) / f"{name}.txt").write_text(table + "\n")
     print()
     print(table)
     return table
@@ -52,7 +66,8 @@ def emit(name: str, rows: Sequence[Dict], title: str,
 def emit_json(name: str, payload: Dict) -> pathlib.Path:
     """Persist one experiment as machine-readable JSON.
 
-    Written next to the ``.txt`` tables under ``benchmarks/results/``,
+    Written next to the ``.txt`` tables under ``benchmarks/results/``
+    (``results/quick/`` when ``payload["params"]["quick"]`` is true),
     so CI and trend tooling can consume the numbers without parsing
     the human-facing render.  The top-level ``BENCH_SUMMARY.json`` is
     refreshed from the full results directory on every write, and a
@@ -64,10 +79,10 @@ def emit_json(name: str, payload: Dict) -> pathlib.Path:
     and whether the tree had changes that revision does not hold
     (``dirty``), so a series can be tied to a commit and a machine.
     """
-    RESULTS_DIR.mkdir(exist_ok=True)
-    path = RESULTS_DIR / f"{name}.json"
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     params = payload.get("params")
+    quick = params.get("quick") if isinstance(params, dict) else None
+    path = results_dir(bool(quick)) / f"{name}.json"
+    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     here = pathlib.Path(__file__).resolve().parent
     aggregate_summary(history_entry={
         "bench": name,
@@ -76,8 +91,7 @@ def emit_json(name: str, payload: Dict) -> pathlib.Path:
         # Uniform top-level marker so trend tooling can filter CI
         # smoke runs out of the trajectory without digging into each
         # bench's params shape (None = the bench didn't say).
-        "quick": (params.get("quick")
-                  if isinstance(params, dict) else None),
+        "quick": quick,
         # Fleet benches record their worker count so the trajectory
         # can separate scaling runs from single-process baselines
         # (None = not a fleet bench / the bench didn't say).
@@ -158,7 +172,7 @@ def _load_history() -> List[Dict]:
 
 
 def aggregate_summary(history_entry: Optional[Dict] = None) -> pathlib.Path:
-    """Fold every ``results/*.json`` into the top-level summary.
+    """Fold every full-run ``results/*.json`` into the top-level summary.
 
     The summary maps each bench name to its latest full payload plus a
     flat ``speedups`` index (bench -> headline speedup, taken from the

@@ -7,7 +7,13 @@ snapshot:
 * **single-wave** — one ``csr_bfs_distances`` traversal;
 * **batch 32 / batch 256** — ``csr_bfs_distances_many``, the
   bit-packed multi-source wave against the loop sweep;
-* **delta-repair** — ``csr_bfs_repair`` on a clustered orphan region.
+* **delta-repair** — ``csr_bfs_repair`` on a clustered orphan region;
+* **eccentricity 32** — ``csr_bfs_distances_many`` in its reduction
+  mode (``eccentricity=True``: no depth decode, no rows) on the batch
+  32 sources.  The row also times row mode on both backends
+  (``pyloops_rows_s`` / ``vectorized_rows_s``), and
+  ``*_reduce_gain`` is row time over reduced time.  The reduced
+  values are asserted equal to ``row_eccentricity`` of the rows.
 
 Weighted cells, on a weighted copy of the same snapshot (arc weights
 ``1 + (u*31 + v*17) % 16``):
@@ -56,6 +62,7 @@ import sys
 import time
 
 from repro.backends import backend_for, numpy_or_none, set_backend
+from repro.backends.api import row_eccentricity
 from repro.backends.dispatch import _pyloops_backend, _vectorized_backend
 from repro.graphs import generators
 from repro.spt.fastpaths import csr_bfs_distances
@@ -140,6 +147,46 @@ def workloads(csr, seed: int):
     ]
 
 
+def reduction_cell(pyl, vec, csr, seed: int, repeats: int):
+    """The eccentricity-mode cell: the batch 32 wave reduced against
+    the same wave's rows, on both backends."""
+    import random
+
+    rng = random.Random(seed)  # the same draw as workloads()' batch 32
+    sources = [rng.randrange(csr.n) for _ in range(32)]
+    cell = {"workload": "eccentricity 32",
+            "kernel": "csr_bfs_distances_many", "n": csr.n,
+            "m": len(csr.indices) // 2, "batch": 32}
+    reduced = {}
+    for backend in (pyl, vec):
+        kernel = backend.csr_bfs_distances_many
+        rows, t_rows, _ = best_of(
+            lambda: kernel(csr, None, sources), repeats)
+        eccs, t_eccs, first = best_of(
+            lambda: kernel(csr, None, sources, eccentricity=True),
+            repeats)
+        if eccs != [row_eccentricity(row) for row in rows]:
+            raise AssertionError(
+                f"{backend.name} eccentricity mode diverges from its "
+                f"rows at n={csr.n}")
+        reduced[backend.name] = eccs
+        cell[f"{backend.name}_s"] = t_eccs
+        cell[f"{backend.name}_first_call_s"] = first
+        cell[f"{backend.name}_rows_s"] = t_rows
+        cell[f"{backend.name}_reduce_gain"] = (
+            t_rows / t_eccs if t_eccs else float("inf"))
+    if reduced["pyloops"] != reduced["vectorized"]:
+        raise AssertionError(
+            f"eccentricity mode diverges between backends at n={csr.n}")
+    t_loop, t_vec = cell["pyloops_s"], cell["vectorized_s"]
+    auto = backend_for("csr_bfs_distances_many", csr, 32).name
+    cell["speedup"] = t_loop / t_vec if t_vec else float("inf")
+    cell["auto_backend"] = auto
+    cell["auto_ratio"] = ((t_loop if auto == "pyloops" else t_vec)
+                          / min(t_loop, t_vec))
+    return cell
+
+
 def run_experiment(quick: bool, seed: int):
     sizes = [200] if quick else [200, 2_000, 20_000]
     pyl = _pyloops_backend()
@@ -176,6 +223,7 @@ def run_experiment(quick: bool, seed: int):
             })
             if name == "batch 256" and n == max(sizes):
                 big_batched_speedup = speedup
+        rows.append(reduction_cell(pyl, vec, csr, seed, repeats))
 
     # Auto-dispatch guard: tiny calls must stay loops-priced.  The
     # wave itself is ~100us, so single-call samples drown the few-us
@@ -223,6 +271,15 @@ def run_experiment(quick: bool, seed: int):
         "big_batched_speedup": big_batched_speedup,
         "auto_dispatch_overhead": auto_overhead,
         "worst_auto_ratio": worst["auto_ratio"],
+        # Row time over reduced time of the batch 32 wave, per
+        # snapshot and backend: what the eccentricity mode saves.
+        "reduce_gain": {
+            str(row["n"]): {
+                name: row[f"{name}_reduce_gain"]
+                for name in ("pyloops", "vectorized")
+            }
+            for row in rows if row["workload"] == "eccentricity 32"
+        },
     }
     return rows, payload, big_batched_speedup, auto_overhead, worst
 
@@ -254,8 +311,13 @@ def main(argv=None) -> int:
             f"auto vs the faster backend, worst cell: "
             f"{worst['auto_ratio']:.2f}x ({worst['kernel']}, "
             f"n={worst['n']}, batch={worst['batch']}; target <= 1.15x, "
-            f"not asserted)"
+            f"not asserted); eccentricity mode vs rows, batch 32 "
+            f"(row time / reduced time): " + ", ".join(
+                f"n={n} pyloops {gain['pyloops']:.2f}x vectorized "
+                f"{gain['vectorized']:.2f}x"
+                for n, gain in payload["reduce_gain"].items())
         ),
+        quick=args.quick,
     )
     emit_json("backends", payload)
     failed = []

@@ -260,6 +260,7 @@ def main(argv=None) -> int:
             f"pair-stream speedup: {pair_speedup:.1f}x (target >= 3x); "
             f"identical outputs enforced against the reference loops"
         ),
+        quick=args.quick,
     )
     emit_json("batched_sources", payload)
     failed = []

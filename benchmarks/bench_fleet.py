@@ -204,6 +204,7 @@ def main(argv=None) -> int:
             f"session; merged CacheInfo asserted equal to the sum of "
             f"per-worker reports"
         ),
+        quick=args.quick,
     )
     emit_json("fleet", payload)
     failed = []

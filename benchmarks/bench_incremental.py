@@ -161,6 +161,7 @@ def main(argv=None) -> int:
             f"with 'delta' provenance; answers asserted equal to the "
             f"full-wave path"
         ),
+        quick=args.quick,
     )
     emit_json("incremental", payload)
     failed = []

@@ -17,7 +17,8 @@ Two experiments, the PR-10 acceptance bar:
 * **trace** — a traced service run: a client answers fault-set queries
   through ``BackgroundServer`` over a two-worker ``FleetSession``, and
   the resulting span buffer is dumped as JSON-lines
-  (``results/obs_trace.jsonl``).  The bench walks the parent links and
+  (``results/obs_trace.jsonl``, or ``results/quick/`` for a
+  ``--quick`` run).  The bench walks the parent links and
   requires **>= 1** complete cross-process chain
   ``client.request -> service.request -> coalescer.wave ->
   fleet.gather -> worker.execute`` — the worker half crossed a real
@@ -44,12 +45,12 @@ from repro.graphs import generators
 from repro.query import DistanceQuery, Session, VectorQuery
 
 try:
-    from _harness import RESULTS_DIR, emit, emit_json
+    from _harness import emit, emit_json, results_dir
 except ImportError:  # running standalone, not under benchmarks/conftest
     import pathlib
 
     sys.path.insert(0, str(pathlib.Path(__file__).parent))
-    from _harness import RESULTS_DIR, emit, emit_json
+    from _harness import emit, emit_json, results_dir
 
 from bench_query_planner import build_stream
 
@@ -187,7 +188,7 @@ def chain_of(record, by_id):
     return tuple(reversed(names))
 
 
-def run_trace(seed: int):
+def run_trace(seed: int, quick: bool = False):
     from repro.fleet import FleetSession
     from repro.service import BackgroundServer, ServiceClient
 
@@ -208,8 +209,7 @@ def run_trace(seed: int):
         raise AssertionError("traced run lost answers")
 
     records = obs.span_records()
-    RESULTS_DIR.mkdir(exist_ok=True)
-    path = RESULTS_DIR / "obs_trace.jsonl"
+    path = results_dir(quick) / "obs_trace.jsonl"
     with open(path, "w", encoding="utf-8") as stream:
         lines = obs.write_jsonl(stream)
 
@@ -231,7 +231,8 @@ def main(argv=None) -> int:
 
     rows, payload, disabled_bound, enabled_overhead, events = \
         run_overhead(args.quick, args.seed)
-    trace_path, lines, span_count, complete = run_trace(args.seed)
+    trace_path, lines, span_count, complete = run_trace(args.seed,
+                                                        args.quick)
     payload["trace"] = {
         "jsonl": str(trace_path), "lines": lines,
         "spans": span_count, "complete_chains": len(complete),
@@ -249,6 +250,7 @@ def main(argv=None) -> int:
             f"{len(complete)} complete cross-process chains "
             f"({' -> '.join(CHAIN)}) to {trace_path.name}"
         ),
+        quick=args.quick,
     )
     emit_json("obs_overhead", payload)
 

@@ -195,6 +195,7 @@ def main(argv=None) -> int:
             f"target side; answers asserted equal to the per-query "
             f"answers"
         ),
+        quick=args.quick,
     )
     emit_json("query_planner", payload)
     failed = []

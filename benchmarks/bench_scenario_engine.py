@@ -134,6 +134,7 @@ def main(argv=None) -> int:
         "scenario_engine", rows,
         "SCEN: batched scenario engine vs naive per-FaultView loop",
         notes=f"measured end-to-end speedup: {speedup:.1f}x",
+        quick=args.quick,
     )
     emit_json("scenario_engine", {
         "bench": "scenario_engine",

@@ -279,6 +279,7 @@ def main(argv=None) -> int:
             f"independent; answers asserted equal to the in-process "
             f"session"
         ),
+        quick=args.quick,
     )
     emit_json("service", payload)
     failed = []

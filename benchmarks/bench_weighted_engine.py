@@ -130,11 +130,13 @@ def main(argv=None) -> int:
         )
     else:
         rows, payload, speedup = run_experiment(seed=args.seed)
+    payload["params"]["quick"] = args.quick
     emit(
         "weighted_engine", rows,
         "WSCEN: weighted scenario engine vs naive per-scenario Dijkstra",
         notes=f"measured end-to-end speedup: {speedup:.1f}x "
               f"(target: >= 10x, identical outputs enforced)",
+        quick=args.quick,
     )
     emit_json("weighted_engine", payload)
     if not args.quick and speedup < 10.0:

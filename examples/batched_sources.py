@@ -14,14 +14,18 @@ batching the *sources*.  Two workload shapes:
   stream by canonical fault set, each group pays one masked wave, and
   the per-``(source, F)`` vectors it computes stay cached for later
   queries (the engine's LRU caches rows only: a later pair reads its
-  answer off a cached row).
+  answer off a cached row).  Eccentricity and connectivity questions
+  alone keep no row: their waves are reduced in the kernel, and the
+  LRU counters show the cache untouched.
 
 Run:  PYTHONPATH=src python examples/batched_sources.py
 """
 
 from repro.analysis.experiments import format_table, timed
 from repro.graphs import generators
-from repro.query import DistanceQuery, Session
+from repro.query import (
+    ConnectivityQuery, DistanceQuery, EccentricityQuery, Session,
+)
 from repro.scenarios import random_fault_sets
 from repro.spt.apsp import all_pairs_bfs_distances, diameter
 from repro.spt.bfs import bfs_distances
@@ -103,6 +107,34 @@ def main() -> None:
           f"{after.vector_hits - info.vector_hits} vector-cache hits, "
           f"{sum(r.provenance.source == 'filter' for r in replay)} "
           f"touch-filter answers)")
+
+    # --- incident questions: scalars, not rows ------------------------
+    # Eccentricity and connectivity under fresh fault sets read no row
+    # slot, so the planner runs each group's wave in its reduction
+    # mode: one eccentricity per source, no row built, none cached.
+    incidents = random_fault_sets(graph, 2, 20, seed=5)
+    watch = (0, 7, 19, 42)
+    questions = []
+    for f in incidents:
+        questions += [EccentricityQuery(s, f) for s in watch]
+        questions.append(ConnectivityQuery(f))
+    before = engine.cache_info()
+    answers = session.answer(questions)
+    after = engine.cache_info()
+    assert after.size == before.size
+    for a in answers:
+        if isinstance(a.query, EccentricityQuery):
+            dist = bfs_distances(graph.without(a.query.faults),
+                                 a.query.source)
+            assert a.value == (-1 if -1 in dist else max(dist))
+    cut = sum(a.value is False for a in answers)
+    print(f"\nincident questions: {len(questions)} eccentricity/"
+          f"connectivity queries over {len(incidents)} fresh fault "
+          f"sets ({cut} disconnect the network)")
+    print(f"  row LRU: {before.size} rows before, {after.size} after "
+          f"(vector cache {after.vector_hits - before.vector_hits}h/"
+          f"{after.vector_misses - before.vector_misses}m): scalar-only "
+          f"groups leave it as they found it")
 
     # --- worst degradations ------------------------------------------
     rows = [

@@ -24,7 +24,7 @@ from repro.incremental import affected_region
 from repro.incremental.repair import csr_bfs_repair
 from repro.query import Session, VectorQuery
 from repro.scenarios import ScenarioEngine, clustered_fault_sets
-from repro.spt.fastpaths import csr_bfs_distances
+from repro.spt.fastpaths import csr_bfs_distances, csr_bfs_tree
 
 
 def main() -> None:
@@ -35,12 +35,17 @@ def main() -> None:
     engine = ScenarioEngine(graph)
     source = 0
     index = engine.base_tree_index(source)
-    tree_edges = sorted(index.tree.edges())
+    # the index is built over this deterministic BFS tree
+    csr = graph.csr()
+    tree_edges = sorted(
+        (min(v, p), max(v, p))
+        for v, p in csr_bfs_tree(csr, None, source).items()
+        if p is not None)
+    hops = engine.base_distances(source)
     # a deep tree edge orphans a small subtree; one near the root
     # orphans a huge one — the cost model tells them apart for the
     # price of interval arithmetic
-    deep = max(tree_edges, key=lambda e: min(
-        index.tree.hop_distance(e[0]), index.tree.hop_distance(e[1])))
+    deep = max(tree_edges, key=lambda e: min(hops[e[0]], hops[e[1]]))
     shallow = next(e for e in tree_edges if source in e)
     for label, edge in (("deep tree edge", deep),
                         ("root-adjacent edge", shallow)):
@@ -51,7 +56,6 @@ def main() -> None:
               f"-> {verdict}")
 
     # --- a repair is bit-identical to the full kernel ----------------
-    csr = graph.csr()
     base = csr_bfs_distances(csr, None, source)
     mask = csr.without([deep])._as_csr()[1]
     orphans = index.orphaned_vertices([deep])

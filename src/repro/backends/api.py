@@ -36,7 +36,7 @@ import os
 from array import array
 from typing import (
     Any, Dict, Iterable, List, Optional, Protocol, Sequence, Tuple,
-    TypeAlias,
+    TypeAlias, Union,
 )
 
 from repro.exceptions import GraphError
@@ -161,6 +161,9 @@ class KernelBackend(Protocol):
 
     Hop kernels return every dense row as a :data:`HopRow`
     (``array('i')``); weighted kernels return lists.
+    ``csr_bfs_distances_many`` has one reduction mode:
+    ``eccentricity=True`` returns each source's
+    :func:`row_eccentricity` as an ``int`` and builds no row.
     """
 
     name: str
@@ -182,7 +185,9 @@ class KernelBackend(Protocol):
 
     def csr_bfs_distances_many(self, csr: CSRGraph,
                                mask: Optional[bytearray],
-                               sources: Iterable[int]) -> List[HopRow]:
+                               sources: Iterable[int],
+                               eccentricity: bool = False
+                               ) -> Union[List[HopRow], List[int]]:
         ...
 
     def csr_weighted_distances_many(self, csr: CSRGraph,

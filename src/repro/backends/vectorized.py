@@ -60,7 +60,9 @@ ints, exactly like the loops.
 from __future__ import annotations
 
 from array import array
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import (
+    Any, Dict, Iterable, List, Optional, Sequence, Tuple, Union,
+)
 
 from repro.backends.api import (
     UNREACHABLE, HopRow, check_source, numpy_or_none,
@@ -290,7 +292,9 @@ def csr_dijkstra_flat(csr: CSRGraph, mask: Optional[bytearray],
 
 
 def csr_bfs_distances_many(csr: CSRGraph, mask: Optional[bytearray],
-                           sources: Iterable[int]) -> List[HopRow]:
+                           sources: Iterable[int],
+                           eccentricity: bool = False
+                           ) -> Union[List[HopRow], List[int]]:
     """Vectorised sibling of ``batched.csr_bfs_distances_many``.
 
     The bit-packed wave as word-major ``(W, n)`` uint64 frontier and
@@ -314,6 +318,14 @@ def csr_bfs_distances_many(csr: CSRGraph, mask: Optional[bytearray],
     planes are decoded once, after the last level, into an ``(S, n)``
     ``np.intc`` matrix whose rows become the ``array('i')`` outputs; an
     undiscovered entry decodes to ``0 - 1 = UNREACHABLE``.
+
+    With ``eccentricity=True`` the wave is reduced instead of decoded:
+    no planes are kept and no rows are built.  Each level ORs the
+    fresh frontier across vertices (``np.bitwise_or.reduce``), so lane
+    ``j``'s last set level is its eccentricity; one
+    ``np.bitwise_and.reduce`` of ``seen`` after the last level says
+    which lanes reached all ``n`` vertices, and the others read
+    ``UNREACHABLE``.
     """
     np = _require_numpy()
     src_list = list(sources)
@@ -336,9 +348,13 @@ def csr_bfs_distances_many(csr: CSRGraph, mask: Optional[bytearray],
                      np.left_shift(np.uint64(1),
                                    (lanes & 63).astype(np.uint64)))
     seen = frontier.copy()
-    planes = [frontier.copy()]  # depth 0 -> depth + 1 == 0b1
+    # depth 0 -> depth + 1 == 0b1; the reduction mode keeps no planes
+    planes = [] if eccentricity else [frontier.copy()]
+    lane_word, lane_bit = lanes >> 6, (lanes & 63).astype(np.uint64)
+    last = np.zeros(n_sources, dtype=np.int64)
     pull_arcs = indices.size / _PULL_DIVISOR
     or_at = np.bitwise_or.at
+    or_reduce = np.bitwise_or.reduce
     or_reduceat = np.bitwise_or.reduceat
     flatnonzero = np.flatnonzero
     zeros_like = np.zeros_like
@@ -365,12 +381,20 @@ def csr_bfs_distances_many(csr: CSRGraph, mask: Optional[bytearray],
         if not active.size:
             break
         seen |= frontier
+        if eccentricity:
+            gained = or_reduce(frontier, axis=1)[lane_word] >> lane_bit
+            last[(gained & 1).astype(bool)] = depth
+            continue
         code = depth + 1
         if code >> len(planes):
             planes.append(zeros_like(frontier))
         for b, plane in enumerate(planes):
             if code >> b & 1:
                 plane |= frontier
+    if eccentricity:
+        spans = np.bitwise_and.reduce(seen, axis=1)[lane_word] >> lane_bit
+        return np.where((spans & 1).astype(bool), last,
+                        UNREACHABLE).tolist()
     hop_row = _hop_row
     return [hop_row(row) for row in _decode_depths(np, planes, lanes)]
 

@@ -19,6 +19,14 @@ same groups, then runs the engine's midpoint scan; the weighted
 restoration helpers (:mod:`repro.weighted`) ask a
 :class:`~repro.query.session.Session` for theirs.
 
+Rows or reductions, by the group's query kinds: a group whose queries
+are all :class:`~repro.query.queries.EccentricityQuery` and
+:class:`~repro.query.queries.ConnectivityQuery` reads no row slot, so
+it is planned *scalar* (:attr:`PlanGroup.scalar`): its delta patches
+and its wave return one eccentricity per source, the hop wave runs in
+its reduction mode (no depth decode, no rows), and no row enters the
+engine's LRU.  Any other group computes rows and caches them.
+
 Side choice (the ROADMAP's target-side batching): within a group the
 distance/pair queries could be waved from their sources *or* — since
 distances are symmetric on an undirected graph with symmetric weights
@@ -43,7 +51,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Any, Dict, Iterable, List, Optional, Sequence
 
 from repro import obs as _obs
 from repro.backends.api import row_eccentricity
@@ -68,6 +76,9 @@ __all__ = ["Planner", "Plan", "PlanGroup"]
 
 _PAIR_KINDS = (DistanceQuery, PairQuery)
 _VECTOR_KINDS = (VectorQuery, EccentricityQuery)
+#: Kinds answered by one scalar per source: a group of these alone
+#: reads no row slot, so its waves reduce instead of building rows.
+_SCALAR_KINDS = (EccentricityQuery, ConnectivityQuery)
 
 
 @dataclass
@@ -79,7 +90,10 @@ class PlanGroup:
     at execute time); ``wave_size`` is filled in by
     :meth:`Planner.execute` with the number of sources the group's
     wave actually traversed (0 when every query was served by a
-    cache or the touch filter).
+    cache or the touch filter).  ``scalar`` is True when the group
+    holds only eccentricity and connectivity queries: no answer reads
+    a row slot, so its wave and delta patches return eccentricities
+    and no row enters the engine's LRU.
     """
 
     fault_key: FaultSet
@@ -87,6 +101,7 @@ class PlanGroup:
     side: str  # "source" | "target"
     cost_source: int
     cost_target: int
+    scalar: bool = False
     wave_size: int = 0
 
 
@@ -190,6 +205,8 @@ class Planner:
             plan.groups.append(PlanGroup(
                 fault_key=fault_key, indices=idxs, side=side,
                 cost_source=cost_source, cost_target=cost_target,
+                scalar=all(isinstance(items[i], _SCALAR_KINDS)
+                           for i in idxs),
             ))
         return plan
 
@@ -321,16 +338,19 @@ class Planner:
                 wave[0] = None
         # Phase 1.5: the delta path — wave starts whose orphaned
         # region the engine's cost model deems small are patched from
-        # the base vectors instead of traversed (the vector lands in
-        # the LRU either way); what the patch cannot serve stays in
-        # the wave.
-        rows: Dict[int, Sequence[int]] = {}
+        # the base vectors instead of traversed; what the patch cannot
+        # serve stays in the wave.  A scalar group asks both for
+        # eccentricities, so neither path keeps a row for it; any
+        # other group's rows land in the LRU either way.
+        scalar = group.scalar
+        rows: Dict[int, Any] = {}  # origin -> row, or its eccentricity
         delta_rows: Dict[int, Optional[str]] = {}
         if wave and fault_key and engine.delta_enabled:
             batch_hint = len(wave)
             for origin in list(wave):
                 vec = engine.try_delta(origin, fault_key,
-                                       batch_hint=batch_hint)
+                                       batch_hint=batch_hint,
+                                       eccentricity=scalar)
                 if vec is not None:
                     rows[origin] = vec
                     # Which kernel backend patched this origin — the
@@ -338,10 +358,12 @@ class Planner:
                     delta_rows[origin] = engine.last_repair_backend
                     del wave[origin]
         # Phase 2: one batched multi-source wave serves every pending
-        # query (and populates the vector cache for later gathers).
+        # query (and, unless the group is scalar, populates the vector
+        # cache for later gathers).
         if wave:
             batch = list(wave)
-            vectors = engine.source_vectors(batch, fault_key)
+            vectors = engine.source_vectors(batch, fault_key,
+                                            eccentricity=scalar)
             rows.update(zip(batch, vectors))
             group.wave_size = len(batch)
             plan.waves += 1
@@ -371,8 +393,9 @@ class Planner:
                     delta_of.get(origin, wave_of),
                 )
             else:
+                value = rows[q.source]
                 answers[i] = Answer(
-                    q, self._vector_value(q, rows[q.source]),
+                    q, value if scalar else self._vector_value(q, value),
                     delta_of.get(q.source, wave_of),
                 )
         for i in conn:
@@ -381,9 +404,10 @@ class Planner:
                 answers[i] = Answer(q, True, Provenance("filter", "empty"))
                 continue
             if rows:
-                origin, vec = next(iter(rows.items()))
+                origin, value = next(iter(rows.items()))
+                ecc = value if scalar else row_eccentricity(value)
                 answers[i] = Answer(
-                    q, row_eccentricity(vec) != UNREACHABLE,
+                    q, ecc != UNREACHABLE,
                     delta_of.get(origin, wave_of),
                 )
             else:

@@ -131,7 +131,12 @@ class EccentricityQuery(Query):
     ``UNREACHABLE`` (-1) when some vertex is unreachable from
     ``source`` (a max over missing distances would silently
     understate, so disconnection is surfaced in-band, unlike the
-    raising contract of :func:`repro.spt.apsp.eccentricity`)."""
+    raising contract of :func:`repro.spt.apsp.eccentricity`).
+
+    In a group of eccentricity and connectivity queries alone, the
+    planner reads it straight off the wave's reduction mode (the last
+    level the source's lane gained a vertex) and keeps no row; beside
+    a row-reading query it is reduced from the group's row."""
 
     source: int
     faults: FaultSet = ()
@@ -141,9 +146,13 @@ class EccentricityQuery(Query):
 @dataclass(frozen=True)
 class ConnectivityQuery(Query):
     """Does ``G \\ F`` stay connected? — answer value is a ``bool``.
-    The planner answers it from any distance vector its group already
-    computed (undirected: one full row convicts or acquits the whole
-    graph), so it usually rides along for free."""
+    The planner answers it from any one source's eccentricity under
+    ``F`` (undirected: one source that reaches every vertex acquits
+    the whole graph, one that misses a vertex convicts it), so it
+    rides along for free: on a row its group already holds, on a
+    cached row, or — in a group of eccentricity and connectivity
+    queries alone — on a wave reduction that builds no row.  Only a
+    fault set nothing else asks about pays a one-source wave."""
 
     faults: FaultSet = ()
     weighted: Optional[bool] = None

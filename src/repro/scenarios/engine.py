@@ -8,9 +8,9 @@ amortising everything that does not depend on the individual scenario:
   scenario's O(|F|) arc-masked view);
 * base BFS distance vectors per queried source/target;
 * selected shortest-path trees (cached by the scheme) and their
-  :class:`TreeFaultIndex` subtree intervals, which turn
-  ``tree_fault_free_vertices`` from a per-scenario tree walk into an
-  interval complement;
+  :class:`TreeFaultIndex` subtree intervals (four flat ``array('i')``
+  rows per tree), which turn ``tree_fault_free_vertices`` from a
+  per-scenario tree walk into an interval complement;
 * a *touch filter* for pair queries: a fault set that contains no edge
   of any shortest ``s ~> t`` path cannot change ``dist(s, t)``, and
   membership is O(1) per fault edge against the two base distance
@@ -22,7 +22,13 @@ amortising everything that does not depend on the individual scenario:
   answered by indexing the cached row (hit/miss/eviction counters via
   :meth:`ScenarioEngine.cache_info`).  It caches rows only: a pair
   answer is one slot of a row, or O(|F|) work for the touch filter,
-  so it is never booked as an entry of its own;
+  so it is never booked as an entry of its own.  And it admits only
+  rows some answer reads: a caller that wants scalars alone (the
+  planner's groups of eccentricity and connectivity queries) passes
+  ``eccentricity=True`` to :meth:`~ScenarioEngine.source_vectors` and
+  :meth:`~ScenarioEngine.try_delta`, whose hop waves then run the
+  kernel's reduction mode — one eccentricity per source, no depth
+  decode, no row — and nothing enters the LRU;
 * batched multi-source waves: :meth:`ScenarioEngine.source_vectors`
   feeds every uncached source of one fault set to the bit-packed
   multi-source kernels of :mod:`repro.spt.batched`, so one sweep over
@@ -81,15 +87,17 @@ Example
 
 from __future__ import annotations
 
+from array import array
 from collections import OrderedDict
 from contextlib import contextmanager
 from dataclasses import dataclass, fields
 from time import perf_counter
 from typing import (
-    Any, Dict, Iterable, List, Optional, Sequence, Set, Tuple,
+    Any, Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple,
 )
 
 from repro import obs as _obs
+from repro.backends.api import row_eccentricity
 from repro.backends.dispatch import backend_for
 from repro.exceptions import GraphError
 from repro.graphs.base import Edge, Graph, canonical_edge
@@ -104,7 +112,6 @@ from repro.spt.fastpaths import (
     csr_dijkstra_flat,
     csr_weighted_distances,
 )
-from repro.spt.trees import ShortestPathTree
 
 __all__ = ["CacheInfo", "ScenarioEngine", "TreeFaultIndex"]
 
@@ -250,42 +257,61 @@ class TreeFaultIndex:
     scenario is the complement of at most ``|F|`` disjoint intervals —
     no per-vertex ``canonical_edge`` hashing, no re-walk of the tree.
 
+    The index is four flat ``array('i')`` rows — the tour, and each
+    vertex's entry, exit and parent (``-1`` for the root and for
+    unreached vertices) — about ``16n`` bytes, with no per-vertex
+    dict and no reference to the tree it was built from.  ``parent``
+    maps every reached vertex to its tree parent (the root to
+    ``None``), iterated root first and each vertex after its parent,
+    which is the order the BFS and Dijkstra kernels return their
+    parent maps in; :meth:`of_tree` builds one from a
+    :class:`~repro.spt.trees.ShortestPathTree`.
+
     Produces exactly the same sets as
     :func:`repro.core.restoration.tree_fault_free_vertices`.
     """
 
-    __slots__ = ("tree", "_tour", "_enter", "_exit", "_edge_child", "_all")
+    __slots__ = ("_tour", "_enter", "_exit", "_parent", "_all")
 
-    def __init__(self, tree):
-        self.tree = tree
-        children: Dict[int, List[int]] = {}
-        for v in tree.vertices_by_hop():
-            p = tree.parent(v)
+    def __init__(self, parent: Mapping[int, Optional[int]]) -> None:
+        size = max(parent) + 1
+        par = array("i", [-1]) * size
+        for v, p in parent.items():
             if p is not None:
-                children.setdefault(p, []).append(v)
-        tour: List[int] = []
-        enter: Dict[int, int] = {}
-        exit_: Dict[int, int] = {}
-        stack: List[Tuple[int, bool]] = [(tree.root, False)]
-        while stack:
-            v, done = stack.pop()
-            if done:
-                exit_[v] = len(tour)
-                continue
-            enter[v] = len(tour)
-            tour.append(v)
-            stack.append((v, True))
-            for c in reversed(children.get(v, ())):
-                stack.append((c, False))
+                par[v] = p
+        # Subtree sizes, leaves up; then each vertex takes the next
+        # free slot under its parent, root down, so every subtree is
+        # one contiguous block of the tour (children in map order).
+        span = array("i", [1]) * size
+        order = list(parent)
+        for v in reversed(order):
+            p = par[v]
+            if p >= 0:
+                span[p] += span[v]
+        enter = array("i", [0]) * size
+        cursor = array("i", [0]) * size
+        tour = array("i", [0]) * len(order)
+        for v in order:
+            p = par[v]
+            if p < 0:
+                slot = 0
+            else:
+                slot = cursor[p]
+                cursor[p] = slot + span[v]
+            enter[v] = slot
+            cursor[v] = slot + 1
+            tour[slot] = v
+            span[v] += slot  # from here on: the subtree's exit
         self._tour = tour
         self._enter = enter
-        self._exit = exit_
-        self._edge_child = {
-            canonical_edge(v, p): v
-            for v, p in ((v, tree.parent(v)) for v in enter)
-            if p is not None
-        }
+        self._exit = span
+        self._parent = par
         self._all: Optional[frozenset] = None
+
+    @classmethod
+    def of_tree(cls, tree: Any) -> "TreeFaultIndex":
+        """The index of a :class:`~repro.spt.trees.ShortestPathTree`."""
+        return cls({v: tree.parent(v) for v in tree.vertices_by_hop()})
 
     def cut_intervals(self, faults: Iterable[Edge]
                       ) -> List[Tuple[int, int]]:
@@ -303,13 +329,16 @@ class TreeFaultIndex:
         :func:`repro.incremental.affected.affected_region` does).
         """
         cut: List[Tuple[int, int]] = []
-        child_of = self._edge_child.get
-        canon = canonical_edge
-        enter, exit_ = self._enter, self._exit
+        add = cut.append
+        parent, enter, exit_ = self._parent, self._enter, self._exit
+        size = len(parent)
         for u, v in faults:
-            child = child_of(canon(u, v))
-            if child is not None:
-                cut.append((enter[child], exit_[child]))
+            if not (0 <= u < size and 0 <= v < size):
+                continue  # an endpoint the tree never reached
+            if parent[v] == u:
+                add((enter[v], exit_[v]))
+            elif parent[u] == v:
+                add((enter[u], exit_[u]))
         cut.sort()
         merged: List[Tuple[int, int]] = []
         keep = merged.append
@@ -376,10 +405,15 @@ class ScenarioEngine:
         Every entry is a dense O(n) row — ``4n`` bytes for a hop row
         (``array('i')``), about ``8n`` for a weighted row (a list of
         ints) — so the footprint is at most ``memoize`` rows; size
-        ``memoize`` down on memory-constrained deployments.  (Vectors
-        handed to long-lived consumers, e.g. DSO preprocessing rows,
-        are aliased — the cache holds a reference to the same row
-        object, not a copy.)
+        ``memoize`` down on memory-constrained deployments.  Only rows
+        a caller reads are admitted: the ``eccentricity=True`` modes
+        of :meth:`source_vectors` and :meth:`try_delta`, which the
+        planner uses for groups of eccentricity and connectivity
+        queries alone, keep no row, so a stream of such questions
+        leaves the cache as it found it (and a repeated one pays a
+        new wave).  (Vectors handed to long-lived consumers, e.g. DSO
+        preprocessing rows, are aliased — the cache holds a reference
+        to the same row object, not a copy.)
     delta:
         Enable the incremental-delta strategy (:meth:`try_delta`,
         default True): per-source base SPT indices are built lazily
@@ -415,7 +449,7 @@ class ScenarioEngine:
             ) if self.weighted else True
         )
         self._base_dist: Dict[int, Sequence[int]] = {}
-        self._tree_index: Dict[int, TreeFaultIndex] = {}
+        self._tree_index: Dict[int, Tuple[Any, TreeFaultIndex]] = {}
         # Row cache: one bounded LRU of per-source distance vectors
         # keyed (s, F).  Pairs sharing (s, F) are answered by
         # indexing a cached vector instead of re-traversing.
@@ -542,13 +576,13 @@ class ScenarioEngine:
 
     def tree_index(self, tree) -> TreeFaultIndex:
         """The cached :class:`TreeFaultIndex` for a (scheme-cached) tree."""
-        # Keyed by identity: schemes cache their trees, and the index
+        # Keyed by identity: schemes cache their trees, and the entry
         # holds a strong reference, so the id stays valid while cached.
         cached = self._tree_index.get(id(tree))
-        if cached is None or cached.tree is not tree:
-            cached = TreeFaultIndex(tree)
+        if cached is None or cached[0] is not tree:
+            cached = (tree, TreeFaultIndex.of_tree(tree))
             self._tree_index[id(tree)] = cached
-        return cached
+        return cached[1]
 
     # ------------------------------------------------------------------
     # incremental deltas: patch base vectors instead of re-traversing
@@ -580,11 +614,9 @@ class ScenarioEngine:
                     self._base_dist[source] = dense
             else:
                 parent = csr_bfs_tree(self.csr, None, source)
-                base = self.base_distances(source)
-                dist = {v: base[v] for v in parent}
-            cached = TreeFaultIndex(
-                ShortestPathTree(source, parent, dist)
-            )
+            # Both kernels return the parent map in settle order, root
+            # first, as the index needs; the map itself is dropped.
+            cached = TreeFaultIndex(parent)
             self._delta_index[source] = cached
         return cached
 
@@ -624,10 +656,11 @@ class ScenarioEngine:
                 f"tree reaches {reached} vertices but {source} "
                 f"reaches more in the base graph"
             )
-        self._delta_index[source] = TreeFaultIndex(tree)
+        self._delta_index[source] = TreeFaultIndex.of_tree(tree)
 
     def try_delta(self, source: int, faults: Iterable[Edge],
-                  batch_hint: int = 1) -> Optional[Sequence[int]]:
+                  batch_hint: int = 1,
+                  eccentricity: bool = False) -> Optional[Any]:
         """The delta-patched ``(source, F)`` vector, or ``None``.
 
         Part of the planner protocol.  Reads the orphaned-region size
@@ -636,7 +669,7 @@ class ScenarioEngine:
         intact frontier by the repair kernels
         (:mod:`repro.incremental.repair`) — bit-identical to the full
         masked kernels, counted as a delta hit, and stored in the
-        shared LRU vector cache like any waved vector — while a large
+        shared LRU vector cache like any waved row — while a large
         one returns ``None`` (a counted fallback: the caller should
         traverse).  Returned vectors are read-only, like every cached
         vector.
@@ -649,12 +682,18 @@ class ScenarioEngine:
         rides the wave, and a large cold batch (``batch_hint`` =
         sources sharing the alternative wave's single sweep) keeps
         riding it; :meth:`adopt_base_tree` pre-warms for free.
+
+        ``eccentricity=True`` returns the patched vector's
+        eccentricity instead (an ``int``), and the vector does **not**
+        enter the LRU — the same rule as :meth:`source_vectors`'
+        reduction mode.
         """
         if not self.delta_enabled:
             return None
         fault_key = _canonical(faults)
         if not fault_key:
-            return self.base_distances(source)
+            base = self.base_distances(source)
+            return row_eccentricity(base) if eccentricity else base
         index = self._delta_index.get(source)
         if index is None:
             # Decline BEFORE touching base state: a declined origin
@@ -695,6 +734,8 @@ class ScenarioEngine:
             _obs.emit_span("delta_repair", dt, kernel=kernel,
                            backend=backend.name, orphans=len(orphans))
         self.delta_hits += 1
+        if eccentricity:
+            return row_eccentricity(patched)
         self._memo_put((source, fault_key), patched)
         return patched
 
@@ -829,15 +870,17 @@ class ScenarioEngine:
     # ------------------------------------------------------------------
     # kernel-backend seam
     # ------------------------------------------------------------------
-    def _wave(self, mask: Optional[bytearray],
-              sources: List[int]) -> List[Sequence[int]]:
+    def _wave(self, mask: Optional[bytearray], sources: List[int],
+              eccentricity: bool = False) -> List[Any]:
         """One batched multi-source wave through the backend seam.
 
         Resolves the batched kernel for this engine (weighted or hop)
         via :func:`repro.backends.dispatch.backend_for`, records the
         serving backend as :attr:`last_wave_backend` and in the
         :attr:`wave_backends` tally, and returns the distance rows
-        aligned with ``sources``.
+        aligned with ``sources`` — or, with ``eccentricity=True``,
+        each source's eccentricity: the hop kernel's reduction mode
+        builds no row, and a weighted wave's rows are reduced here.
         """
         kernel = ("csr_weighted_distances_many" if self.weighted
                   else "csr_bfs_distances_many")
@@ -849,8 +892,14 @@ class ScenarioEngine:
         # disabled (the obs overhead contract), one histogram/counter/
         # span record per *wave* — never per arc — when enabled.
         t0 = perf_counter() if _obs.ENABLED else 0.0
-        rows: List[Sequence[int]] = getattr(backend, kernel)(
-            self.csr, mask, sources)
+        wave = getattr(backend, kernel)
+        if not eccentricity:
+            rows: List[Any] = wave(self.csr, mask, sources)
+        elif self.weighted:
+            rows = [row_eccentricity(row)
+                    for row in wave(self.csr, mask, sources)]
+        else:
+            rows = wave(self.csr, mask, sources, eccentricity=True)
         if _obs.ENABLED:
             dt = perf_counter() - t0
             _obs.observe("repro_wave_seconds", dt,
@@ -872,7 +921,8 @@ class ScenarioEngine:
         )
 
     def source_vectors(self, sources: Iterable[int],
-                       faults: Iterable[Edge] = ()) -> List[Sequence[int]]:
+                       faults: Iterable[Edge] = (),
+                       eccentricity: bool = False) -> List[Any]:
         """Distance vectors for many sources under *one* fault set.
 
         The many-source primitive — the cache, then one wave: sources
@@ -889,6 +939,15 @@ class ScenarioEngine:
 
         Returned vectors are **read-only**: they may be shared with the
         engine's caches and with other callers.
+
+        ``eccentricity=True`` answers each source's eccentricity under
+        ``F`` instead (an ``int``, ``UNREACHABLE`` when the source
+        misses a vertex), through the same cache and the same wave
+        seam: a cached row is reduced, and the wave runs in the hop
+        kernel's reduction mode, so no row is built and **nothing
+        enters the LRU**.  A repeated scalar-only ``(source, F)``
+        therefore pays a new wave; the planner uses this mode only for
+        groups in which no query reads a row slot.
         """
         self.last_wave_backend = None
         sources = list(sources)
@@ -901,8 +960,10 @@ class ScenarioEngine:
             if missing:
                 rows = self._wave(None, missing)
                 self._base_dist.update(zip(missing, rows))
-            return [self.base_distances(s) for s in sources]
-        out: List[Optional[Sequence[int]]] = [None] * len(sources)
+            base = [self.base_distances(s) for s in sources]
+            return ([row_eccentricity(row) for row in base]
+                    if eccentricity else base)
+        out: List[Any] = [None] * len(sources)
         pending: Dict[int, List[int]] = {}
         memo_get = self._memo.get
         for i, s in enumerate(sources):
@@ -914,7 +975,8 @@ class ScenarioEngine:
             if cached is not None:
                 self.vector_hits += 1
                 self._memo.move_to_end(key)
-                out[i] = cached
+                out[i] = (row_eccentricity(cached) if eccentricity
+                          else cached)
                 continue
             # One index list per *distinct* uncached source — allocation
             # proportional to the output, not to the loop trip count.
@@ -926,10 +988,11 @@ class ScenarioEngine:
                 self.vector_misses += len(pending)
             waving = list(pending)
             with self._masked(fault_key) as mask:
-                rows = self._wave(mask, waving)
+                rows = self._wave(mask, waving, eccentricity)
             memo_put = self._memo_put
             for s, row in zip(waving, rows):
-                memo_put((s, fault_key), row)
+                if not eccentricity:
+                    memo_put((s, fault_key), row)
                 for i in pending[s]:
                     out[i] = row
         return out

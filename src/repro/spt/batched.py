@@ -38,7 +38,9 @@ from __future__ import annotations
 import heapq
 from array import array
 from bisect import bisect_right
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import (
+    Dict, Iterable, List, Literal, Optional, Set, Tuple, Union, overload,
+)
 
 from repro.backends.api import HopRow
 from repro.backends.dispatch import kernel_impl
@@ -52,8 +54,25 @@ __all__ = [
 ]
 
 
+@overload
 def csr_bfs_distances_many(csr: CSRGraph, mask: Optional[bytearray],
-                           sources: Iterable[int]) -> List[HopRow]:
+                           sources: Iterable[int],
+                           eccentricity: Literal[False] = False
+                           ) -> List[HopRow]:
+    ...
+
+
+@overload
+def csr_bfs_distances_many(csr: CSRGraph, mask: Optional[bytearray],
+                           sources: Iterable[int],
+                           eccentricity: Literal[True]) -> List[int]:
+    ...
+
+
+def csr_bfs_distances_many(csr: CSRGraph, mask: Optional[bytearray],
+                           sources: Iterable[int],
+                           eccentricity: bool = False
+                           ) -> Union[List[HopRow], List[int]]:
     """Hop-distance rows (``array('i')``) for a batch of sources in one
     BFS wave.
 
@@ -62,10 +81,15 @@ def csr_bfs_distances_many(csr: CSRGraph, mask: Optional[bytearray],
     kernel backend (:mod:`repro.backends`) wins at this work size —
     the bit-packed loops below or the vectorized 2-D frontier matrix
     — with bit-identical results either way.
+
+    ``eccentricity=True`` is the reduction mode: the same wave, but
+    each source's eccentricity comes back (an ``int``, equal to
+    :func:`~repro.backends.api.row_eccentricity` of its row) and no
+    row is built.
     """
     src = list(sources)
     impl = kernel_impl("csr_bfs_distances_many", csr, len(src))
-    return impl(csr, mask, src)
+    return impl(csr, mask, src, eccentricity=eccentricity)
 
 
 def csr_weighted_distances_many(csr: CSRGraph, mask: Optional[bytearray],
@@ -140,13 +164,19 @@ def _blocked_rows(indptr: List[int],
 
 
 def csr_bfs_distances_many_loops(csr: CSRGraph, mask: Optional[bytearray],
-                                 sources: Iterable[int]) -> List[HopRow]:
+                                 sources: Iterable[int],
+                                 eccentricity: bool = False
+                                 ) -> Union[List[HopRow], List[int]]:
     """The bit-packed loop implementation (the ``pyloops`` backend).
 
     Returns one dense ``array('i')`` row per source, aligned with the
     input order (duplicates included), each bit-identical to
     ``csr_bfs_distances(csr, mask, source)``.  Rows are built as lists
-    and converted once at return.
+    and converted once at return.  With ``eccentricity=True`` it
+    builds no rows and returns each source's eccentricity instead:
+    the last depth at which its bit gained a vertex, or
+    ``UNREACHABLE`` when the AND of every vertex's ``seen`` word lacks
+    its bit (it missed a vertex).
 
     The frontier of source ``j`` is bit ``j`` of a per-vertex Python
     int, so the level loop advances all sources at once: each arc
@@ -164,7 +194,9 @@ def csr_bfs_distances_many_loops(csr: CSRGraph, mask: Optional[bytearray],
         return []
     n = csr.n
     indptr, indices = csr.indptr, csr.indices
-    dists = [[UNREACHABLE] * n for _ in sources]
+    dists: List[List[int]] = (
+        [] if eccentricity else [[UNREACHABLE] * n for _ in sources])
+    last = [0] * len(sources)
     nbytes = (len(sources) + 7) >> 3
     byte_bits = _BYTE_BITS
     # Rows grouped by byte of the discovery mask, so the write loop
@@ -175,7 +207,8 @@ def csr_bfs_distances_many_loops(csr: CSRGraph, mask: Optional[bytearray],
     gather = [0] * n
     active: List[int] = []
     for j, s in enumerate(sources):
-        dists[j][s] = 0
+        if not eccentricity:
+            dists[j][s] = 0
         if not frontier[s]:
             active.append(s)
         bit = 1 << j
@@ -186,6 +219,7 @@ def csr_bfs_distances_many_loops(csr: CSRGraph, mask: Optional[bytearray],
     # unmasked fast sweep.
     blocked = None if mask is None else _blocked_rows(indptr, mask)
     depth = 0
+    gained = 0  # eccentricity mode: the lanes that gained at this depth
     while active:
         depth += 1
         touched: List[int] = []
@@ -230,7 +264,9 @@ def csr_bfs_distances_many_loops(csr: CSRGraph, mask: Optional[bytearray],
                 seen[v] |= fresh
                 frontier[v] = fresh
                 active.append(v)
-                if fresh.bit_length() > 64:
+                if eccentricity:
+                    gained |= fresh
+                elif fresh.bit_length() > 64:
                     # Wide mask: one byte-table scan writes every row.
                     bi = 0
                     for byte in fresh.to_bytes(nbytes, "little"):
@@ -245,6 +281,16 @@ def csr_bfs_distances_many_loops(csr: CSRGraph, mask: Optional[bytearray],
                         low = fresh & -fresh
                         dists[low.bit_length() - 1][v] = depth
                         fresh ^= low
+        while gained:
+            low = gained & -gained
+            last[low.bit_length() - 1] = depth
+            gained ^= low
+    if eccentricity:
+        spans = (1 << len(sources)) - 1
+        for word in seen:
+            spans &= word
+        return [d if spans >> j & 1 else UNREACHABLE
+                for j, d in enumerate(last)]
     return [array("i", row) for row in dists]
 
 

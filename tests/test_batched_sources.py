@@ -18,8 +18,9 @@ from array import array
 
 import networkx as nx
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
+from repro.backends.api import row_eccentricity
 from repro.core.weights import AntisymmetricWeights
 from repro.exceptions import GraphError, QueryError
 from repro.graphs import generators
@@ -167,6 +168,35 @@ def test_bfs_many_wide_batches_bit_identical(backend, case):
         rows = csr_bfs_distances_many(csr, mask, sources)
         assert all(is_hop_row(row) for row in rows)
         assert rows == [want[s] for s in sources]
+
+
+@given(batched_cases(min_n=1))
+@example((Graph(1), [], [0, 0]))
+@settings(max_examples=120, **BACKEND_COMMON)
+def test_bfs_many_eccentricity_mode_reduces_the_rows(backend, case):
+    """The reduction mode returns ``row_eccentricity`` of each row,
+    as an ``int``, on every mask (faults may disconnect a lane) and
+    for duplicate sources and ``n = 1``."""
+    g, faults, sources = case
+    csr = g.csr()
+    for mask in (None, csr.without(faults)._as_csr()[1]):
+        rows = csr_bfs_distances_many(csr, mask, sources)
+        eccs = csr_bfs_distances_many(csr, mask, sources, eccentricity=True)
+        assert eccs == [row_eccentricity(row) for row in rows]
+        assert all(type(e) is int for e in eccs)
+
+
+@given(wide_bfs_cases())
+@settings(max_examples=20, **BACKEND_COMMON)
+def test_bfs_many_eccentricity_mode_on_wide_batches(backend, case):
+    """Multi-word lanes, isolated vertices (lanes that miss vertices)
+    and one-orientation masks reduce like their rows."""
+    csr, masks, sources = case
+    for mask in masks:
+        want = {s: row_eccentricity(csr_bfs_distances_loops(csr, mask, s))
+                for s in set(sources)}
+        eccs = csr_bfs_distances_many(csr, mask, sources, eccentricity=True)
+        assert eccs == [want[s] for s in sources]
 
 
 @given(batched_cases())

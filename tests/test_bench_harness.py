@@ -117,3 +117,37 @@ def test_dirty_ignores_only_the_bench_outputs(harness, checkout):
 
 def test_dirty_is_none_outside_a_checkout(harness, tmp_path):
     assert harness.git_dirty(tmp_path) is None
+
+
+def test_quick_runs_write_under_results_quick(harness):
+    """A ``--quick`` smoke never overwrites a full run's snapshot, and
+    the summary folds the full run only; history keeps both runs."""
+    harness.emit("alpha", [{"run": "full"}], "ALPHA")
+    harness.emit_json("alpha", {"params": {"quick": False},
+                                "speedup": 2.0})
+    harness.emit("alpha", [{"run": "smoke"}], "ALPHA", quick=True)
+    harness.emit_json("alpha", {"params": {"quick": True},
+                                "speedup": 9.0})
+    full, quick = harness.RESULTS_DIR, harness.RESULTS_DIR / "quick"
+    assert json.loads((full / "alpha.json").read_text())["speedup"] == 2.0
+    assert json.loads((quick / "alpha.json").read_text())["speedup"] == 9.0
+    assert "full" in (full / "alpha.txt").read_text()
+    assert "smoke" in (quick / "alpha.txt").read_text()
+    summary = json.loads(harness.SUMMARY_PATH.read_text())
+    assert summary["speedups"] == {"alpha": 2.0}
+    assert summary["benches"]["alpha"]["speedup"] == 2.0
+    assert [e["quick"] for e in summary["history"]] == [False, True]
+
+
+def test_quick_results_are_gitignored():
+    root = _HARNESS.parent.parent
+    try:
+        done = subprocess.run(
+            ["git", "check-ignore", "-q",
+             "benchmarks/results/quick/alpha.json"],
+            cwd=root, capture_output=True, check=False)
+    except OSError:
+        pytest.skip("git unavailable")
+    if done.returncode == 128:
+        pytest.skip("not a git checkout")
+    assert done.returncode == 0

@@ -16,6 +16,8 @@ from array import array
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from repro.core.restoration import tree_fault_free_vertices
+from repro.core.scheme import BFSTiebreaking
 from repro.core.weights import AntisymmetricWeights
 from repro.exceptions import GraphError
 from repro.graphs import generators
@@ -293,12 +295,16 @@ class TestEngineDelta:
         engine = ScenarioEngine(grid4)
         tree = grid_scheme.tree(0)
         engine.adopt_base_tree(0, tree)  # a genuine SPT adopts fine
-        assert engine.base_tree_index(0).tree is tree
+        # The base index now cuts this tree's subtrees.
+        index = engine.base_tree_index(0)
+        for e in tree.edges():
+            assert set(index.orphaned_vertices([e])) == (
+                set(tree.reached_vertices())
+                - tree_fault_free_vertices(tree, [e]))
         with pytest.raises(GraphError, match="rooted"):
             engine.adopt_base_tree(5, tree)
         # a tree of the wrong graph is rejected, not silently patched
-        other = generators.path(16)
-        bad = ScenarioEngine(other).base_tree_index(0).tree
+        bad = BFSTiebreaking(generators.path(16)).tree(0)
         with pytest.raises(GraphError):
             engine.adopt_base_tree(0, bad)
 

@@ -1,8 +1,10 @@
 """Scenario enumerators and the batched ScenarioEngine."""
 
 import itertools
+import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.restoration import midpoint_scan, tree_fault_free_vertices
 from repro.core.scheme import BFSTiebreaking, RestorableTiebreaking
@@ -26,6 +28,8 @@ from repro.scenarios import (
     tree_edge_faults,
 )
 from repro.spt.bfs import UNREACHABLE, bfs_distances
+from repro.spt.fastpaths import csr_bfs_tree
+from repro.spt.trees import ShortestPathTree
 
 
 @pytest.fixture(scope="module")
@@ -96,7 +100,7 @@ class TestTreeFaultIndex:
     def test_matches_reference_on_all_faults(self, torus):
         scheme = RestorableTiebreaking.build(torus, f=1, seed=1)
         tree = scheme.tree(7)
-        index = TreeFaultIndex(tree)
+        index = TreeFaultIndex.of_tree(tree)
         for faults in itertools.chain(single_edge_faults(torus),
                                       random_fault_sets(torus, 3, 30, 8)):
             assert (index.fault_free_vertices(faults)
@@ -104,8 +108,34 @@ class TestTreeFaultIndex:
 
     def test_empty_faults_returns_all_reached(self, torus):
         tree = BFSTiebreaking(torus).tree(0)
-        index = TreeFaultIndex(tree)
+        index = TreeFaultIndex.of_tree(tree)
         assert index.fault_free_vertices(()) == set(tree.reached_vertices())
+
+    @given(st.integers(2, 30), st.integers(0, 2**16))
+    @settings(max_examples=80, deadline=None)
+    def test_parent_map_index_matches_the_tree_walk(self, n, seed):
+        """The flat index over a BFS parent map — what the engine
+        builds for base trees — on graphs that may leave vertices
+        unreached, against faults in either orientation, off the tree
+        and off the graph."""
+        rng = random.Random(seed)
+        g = Graph(n)
+        for _ in range(rng.randint(0, 2 * n)):
+            u, v = rng.randrange(n), rng.randrange(n)
+            if u != v:
+                g.add_edge(u, v)
+        root = rng.randrange(n)
+        parent = csr_bfs_tree(g.csr(), None, root)
+        dist = bfs_distances(g, root)
+        tree = ShortestPathTree(root, parent, {v: dist[v] for v in parent})
+        index = TreeFaultIndex(parent)
+        pairs = [(u, v) for u in range(n) for v in range(n) if u != v]
+        for _ in range(10):
+            faults = rng.sample(pairs, rng.randint(0, min(4, len(pairs))))
+            assert (index.fault_free_vertices(faults)
+                    == tree_fault_free_vertices(tree, faults))
+            assert sorted(index.orphaned_vertices(faults)) == sorted(
+                set(parent) - tree_fault_free_vertices(tree, faults))
 
 
 # ----------------------------------------------------------------------
