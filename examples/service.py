@@ -9,7 +9,7 @@ dialect over a socket — and the server's
 one poll together.  Each batch runs on the server's event loop, so
 requests that arrive while one runs wait in their sockets and share
 the next: clients querying the *same* failure ride one masked wave.
-This tour walks the four things the service adds:
+This tour walks the three things the service adds:
 
 1. **The dialect over the wire** — `ServiceClient` is a drop-in for
    `Session`: submit/gather/answer, typed answers with provenance.
@@ -20,8 +20,6 @@ This tour walks the four things the service adds:
    clients' requests asked about its fault set.
 3. **Admission control** — typed ``ServiceError`` backpressure
    instead of unbounded queues.
-4. **Epoch pushes** — the invalidation channel for clients holding
-   answer-derived state.
 
 Run:  PYTHONPATH=src python examples/service.py
 """
@@ -105,13 +103,6 @@ def main() -> None:
             a.answer([DistanceQuery(0, t % graph.n) for t in range(300)])
         except ServiceError as exc:
             print(f"backpressure: code={exc.code!r} ({exc})")
-
-        # --- 4. epoch pushes -----------------------------------------
-        # Subscribed clients hear about backend graph changes and know
-        # to drop answer-derived state.
-        b.subscribe()
-        server.bump_epoch()
-        print(f"epoch push seen by bob: {b.poll_pushes(timeout=2.0)}")
 
         a.close()
         b.close()

@@ -20,8 +20,8 @@ masked wave, not one each.  This package is that front:
   (tickets) in its batch that asked about its fault set.
 * :class:`~repro.service.server.ScenarioServer` — the asyncio server:
   admission control (per-client and global in-flight weights, typed
-  ``admission`` backpressure replies), graceful drain, ``epoch`` push
-  notifications to subscribed clients when a tenant graph changes.
+  ``admission`` backpressure replies), each reply written by the batch
+  that answers it, graceful drain.
 * :class:`~repro.service.client.ServiceClient` — the session dialect
   (submit/gather/answer/answer_one/answer_async, stats, cache_info)
   over the wire; its ``answer_async`` is the asyncio entry.

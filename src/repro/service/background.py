@@ -4,9 +4,8 @@ The server is asyncio; most of this library's consumers (tests,
 benchmarks, synchronous scripts) are not.  ``BackgroundServer`` runs
 a :class:`~repro.service.server.ScenarioServer` on a daemon thread
 with a private event loop, exposes the bound address, and forwards
-the control surface (:meth:`drain`, :meth:`bump_epoch`) through
-``run_coroutine_threadsafe`` — so synchronous code gets a served
-backend in three lines::
+:meth:`drain` through ``run_coroutine_threadsafe`` — so synchronous
+code gets a served backend in three lines::
 
     with BackgroundServer(Session(graph)) as server:
         with ServiceClient(*server.address) as client:
@@ -24,7 +23,6 @@ import threading
 from typing import Any, Optional, Tuple
 
 from repro.exceptions import ServiceError
-from repro.query.session import DEFAULT_TENANT
 from repro.service.server import ScenarioServer
 
 __all__ = ["BackgroundServer"]
@@ -75,15 +73,6 @@ class BackgroundServer:
         :meth:`ScenarioServer.drain`), blocking until done."""
         asyncio.run_coroutine_threadsafe(
             self.server.drain(), self._loop).result(timeout)
-
-    def bump_epoch(self, tenant: str = DEFAULT_TENANT) -> int:
-        """Thread-safe :meth:`ScenarioServer.bump_epoch`."""
-
-        async def _bump() -> int:
-            return self.server.bump_epoch(tenant)
-
-        return asyncio.run_coroutine_threadsafe(
-            _bump(), self._loop).result()
 
     def close(self) -> None:
         """Drain, stop the loop, join the thread (idempotent)."""

@@ -13,15 +13,15 @@ concurrent clients' queries into shared waves.
 
 The client keeps a client-side
 :class:`~repro.query.session.SessionStats` ledger (fed by
-:meth:`~repro.query.session.SessionStats.record_answers`), tracks
-``epoch`` pushes from the server in :attr:`ServiceClient.epochs`, and
-re-raises typed error replies through
+:meth:`~repro.query.session.SessionStats.record_answers`), reads
+exactly one reply per request, and re-raises typed error replies
+through
 :func:`~repro.service.protocol.raise_error_reply` — so a malformed
 stream surfaces as the same
 :class:`~repro.exceptions.QueryError` an in-process session raises,
 and backpressure surfaces as
 :class:`~repro.exceptions.ServiceError` with a machine-readable
-``code`` (``admission``, ``draining``, ``version``, ...).
+``code`` (``admission``, ``draining``, ``version``, ``frame``, ...).
 """
 
 from __future__ import annotations
@@ -69,10 +69,9 @@ class ServiceClient(SessionDialect):
                  timeout: Optional[float] = None) -> None:
         super().__init__(scheme)
         self.stats = SessionStats()
-        self.epochs: Dict[str, int] = {}
         self._ids = itertools.count(1)
-        # One request/reply dialog on the socket at a time; poll_pushes
-        # takes it too, so it never reads a reply a dialog awaits.
+        # One request/reply dialog on the socket at a time: answer_async
+        # runs its dialog on a worker thread.
         self._lock = threading.Lock()
         self._sock: Optional[socket.socket] = socket.create_connection(
             (host, port), timeout)
@@ -130,13 +129,6 @@ class ServiceClient(SessionDialect):
     # ------------------------------------------------------------------
     # service extras
     # ------------------------------------------------------------------
-    def subscribe(self) -> Dict[str, int]:
-        """Subscribe to epoch pushes; returns the current epochs."""
-        reply = self._request({"type": "subscribe",
-                               "id": next(self._ids)})
-        self.epochs.update(reply.get("epochs", {}))
-        return dict(self.epochs)
-
     def server_stats(self) -> Message:
         """The server's view of this client: per-client
         :class:`SessionStats` (``"client"``), backend
@@ -150,54 +142,23 @@ class ServiceClient(SessionDialect):
         assert isinstance(info, CacheInfo)
         return info
 
-    def poll_pushes(self, timeout: float = 0.0) -> Dict[str, int]:
-        """Drain queued epoch pushes without sending a request.
-
-        Waits for an in-flight request to finish first (that dialog
-        absorbs any push riding ahead of its reply), then up to
-        ``timeout`` seconds for at least one frame; a timeout just
-        returns the epochs seen so far.
-        """
-        sock = self._require_sock()
-        with self._lock:
-            old = sock.gettimeout()
-            sock.settimeout(max(timeout, 1e-3))
-            try:
-                while True:
-                    reply = protocol.recv_message(sock, self.max_frame)
-                    self._absorb_push(reply)
-            except socket.timeout:
-                pass
-            finally:
-                sock.settimeout(old)
-        return dict(self.epochs)
-
     # ------------------------------------------------------------------
     # plumbing
     # ------------------------------------------------------------------
     def _request(self, message: Message) -> Message:
-        """One request/reply dialog; pushes absorbed along the way."""
+        """One request/reply dialog: send, then read exactly one reply."""
         sock = self._require_sock()
         with self._lock:
             protocol.send_message(sock, message, self.max_frame)
-            while True:
-                reply = protocol.recv_message(sock, self.max_frame)
-                if self._absorb_push(reply):
-                    continue
-                if reply.get("type") == "error":
-                    protocol.raise_error_reply(reply)
-                if reply.get("id") != message["id"]:
-                    raise ServiceError(
-                        f"reply {reply.get('id')!r} does not answer "
-                        f"request {message['id']!r}", code="protocol",
-                    )
-                return reply
-
-    def _absorb_push(self, reply: Message) -> bool:
-        if reply.get("type") == "epoch":
-            self.epochs[str(reply["tenant"])] = int(reply["epoch"])
-            return True
-        return False
+            reply = protocol.recv_message(sock, self.max_frame)
+        if reply.get("type") == "error":
+            protocol.raise_error_reply(reply)
+        if reply.get("id") != message["id"]:
+            raise ServiceError(
+                f"reply {reply.get('id')!r} does not answer "
+                f"request {message['id']!r}", code="protocol",
+            )
+        return reply
 
     def _require_sock(self) -> socket.socket:
         if self._sock is None:

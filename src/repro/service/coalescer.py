@@ -17,7 +17,9 @@ company that is not coming.  The batch goes to the shared backend
 session — whose planner already groups by canonical fault set, so
 queries from different clients sharing a fault set ride one wave —
 and the answers are demultiplexed back to each :class:`Ticket` in
-submission order.
+submission order: the coalescer calls each ticket's ``reply`` once,
+before ``flush`` returns, so a reply leaves in the batch that
+answered it.
 
 Each answer's :class:`~repro.query.queries.Provenance` is stamped
 with ``coalesced``: how many tickets in its batch group asked about
@@ -39,7 +41,7 @@ import asyncio
 import pickle
 from collections import Counter, OrderedDict
 from dataclasses import dataclass, field, replace
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple, Union
 
 from repro import obs as _obs
 from repro.exceptions import ReproError
@@ -53,10 +55,18 @@ __all__ = ["Coalescer", "Ticket"]
 #: returns.
 AnswerFn = Callable[[List[Query], Any, str], List[Answer]]
 
+#: A ticket's reply: called with its answers or with the exception
+#: that failed it.
+ReplyFn = Callable[[Union[List[Answer], Exception]], None]
+
 
 @dataclass
 class Ticket:
     """One connection's admitted sub-batch, awaiting its answers.
+
+    The coalescer calls ``reply`` exactly once, before the ``flush``
+    that answered the ticket returns, with the ticket's answers or
+    with the exception that failed it.
 
     ``trace`` is the requesting client's observability context (a
     :class:`~repro.obs.trace.TraceContext` wire dict, or ``None``
@@ -68,7 +78,7 @@ class Ticket:
     queries: List[Query]
     scheme: Any
     tenant: str
-    future: "asyncio.Future[List[Answer]]" = field(repr=False)
+    reply: ReplyFn = field(repr=False)
     trace: Any = None
 
 
@@ -228,8 +238,7 @@ class Coalescer:
                 return
             # A lone ticket's own error, or a backend bug.
             for ticket in tickets:
-                if not ticket.future.done():
-                    ticket.future.set_exception(exc)
+                ticket.reply(exc)
             return
         self.flushed_queries += len(queries)
         self.coalesced_queries += sum(
@@ -239,8 +248,7 @@ class Coalescer:
         for ticket in tickets:
             chunk = answers[cursor:cursor + len(ticket.queries)]
             cursor += len(ticket.queries)
-            if not ticket.future.done():
-                ticket.future.set_result(chunk)
+            ticket.reply(chunk)
 
     def _retry_alone(self, tenant: str, tickets: List[Ticket],
                      ctx: Optional[TraceContext]) -> None:
@@ -249,13 +257,10 @@ class Coalescer:
                 answers = self._call(ticket.queries, ticket.scheme,
                                      tenant, ctx)
             except Exception as exc:
-                if not ticket.future.done():
-                    ticket.future.set_exception(exc)
+                ticket.reply(exc)
                 continue
             self.flushed_queries += len(ticket.queries)
-            if not ticket.future.done():
-                ticket.future.set_result(
-                    _stamp(answers, _ticket_counts([ticket])))
+            ticket.reply(_stamp(answers, _ticket_counts([ticket])))
 
     def _call(self, queries: List[Query], scheme: Any, tenant: str,
               ctx: Optional[TraceContext]) -> List[Answer]:

@@ -7,11 +7,11 @@ One frame per message, in both directions::
     +----------------+-------+----------------------+
 
 ``codec`` is one byte: ``J`` for a UTF-8 JSON object (control
-messages — handshake, errors, acks, epoch pushes) or ``P`` for a
-pickle (anything carrying typed query/answer/stats objects).  Every
-payload decodes to a ``dict`` with a ``"type"`` key; anything else is
-a protocol violation and raises
-:class:`~repro.exceptions.ServiceError` with ``code="frame"``.
+messages — handshake, errors, acks) or ``P`` for a pickle (anything
+carrying typed query/answer/stats objects).  Every payload decodes to
+a ``dict`` with a ``"type"`` key; anything else is a protocol
+violation and raises :class:`~repro.exceptions.ServiceError` with
+``code="frame"``.
 Frames above ``max_frame`` are refused *before* the payload is read,
 so a garbled length header cannot make either side allocate
 gigabytes.
@@ -26,8 +26,11 @@ mismatch then fails loudly at connect time instead of mid-stream.
 
 Trust model: the pickle codec executes arbitrary constructors on
 decode, exactly like the fleet's pipe protocol one layer down.  The
-service is a *backend* front for clients you already run — bind it to
-loopback or a trusted network, never the open internet.
+server reads the hello with :func:`read_frame` and refuses any codec
+but ``J`` before decoding it, so a peer reaches ``pickle.loads`` only
+after a handshake — which is not authentication.  The service is a
+*backend* front for clients you already run — bind it to loopback or
+a trusted network, never the open internet.
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ import json
 import pickle
 import socket
 import struct
-from typing import Any, Dict, Optional
+from typing import Any, Dict, Optional, Tuple
 
 import asyncio
 
@@ -45,22 +48,24 @@ from repro.exceptions import ServiceError
 __all__ = [
     "PROTOCOL_VERSION",
     "DEFAULT_MAX_FRAME",
+    "CODEC_JSON",
     "encode_message",
     "decode_payload",
-    "read_message",
+    "read_frame",
     "send_message",
     "recv_message",
     "raise_error_reply",
 ]
 
 #: Bump on any change to message meaning; the handshake enforces it.
-PROTOCOL_VERSION = 2
+PROTOCOL_VERSION = 3
 
 #: Default refusal threshold for a single frame, either direction.
 DEFAULT_MAX_FRAME = 32 * 1024 * 1024
 
 _HEADER = struct.Struct(">IB")
-_CODEC_JSON = ord("J")
+#: The codec byte of a JSON frame, the only one a hello may carry.
+CODEC_JSON = ord("J")
 _CODEC_PICKLE = ord("P")
 
 Message = Dict[str, Any]
@@ -76,7 +81,7 @@ def encode_message(message: Message,
     """
     try:
         payload = json.dumps(message, separators=(",", ":")).encode()
-        codec = _CODEC_JSON
+        codec = CODEC_JSON
     except (TypeError, ValueError):
         payload = pickle.dumps(message,
                                protocol=pickle.HIGHEST_PROTOCOL)
@@ -91,7 +96,7 @@ def encode_message(message: Message,
 
 def decode_payload(codec: int, payload: bytes) -> Message:
     """Decode one frame's payload; enforce the dict-with-type shape."""
-    if codec == _CODEC_JSON:
+    if codec == CODEC_JSON:
         try:
             message = json.loads(payload.decode())
         except (UnicodeDecodeError, ValueError) as exc:
@@ -117,22 +122,23 @@ def decode_payload(codec: int, payload: bytes) -> Message:
     return message
 
 
-async def read_message(reader: asyncio.StreamReader,
-                       max_frame: int = DEFAULT_MAX_FRAME) -> Message:
-    """Read one frame from an asyncio stream (server side).
+async def read_frame(reader: asyncio.StreamReader,
+                     max_frame: int = DEFAULT_MAX_FRAME
+                     ) -> Tuple[int, bytes]:
+    """Read one frame's codec byte and payload from an asyncio stream
+    (server side); :func:`decode_payload` decodes them.
 
     Raises :class:`asyncio.IncompleteReadError` on EOF — the caller's
-    disconnect signal — and :class:`ServiceError` on violations.
+    disconnect signal — and :class:`ServiceError` on an oversized
+    frame.
     """
-    header = await reader.readexactly(_HEADER.size)
-    length, codec = _HEADER.unpack(header)
+    length, codec = _HEADER.unpack(await reader.readexactly(_HEADER.size))
     if length > max_frame:
         raise ServiceError(
             f"incoming frame of {length} bytes exceeds the "
             f"{max_frame}-byte limit", code="frame",
         )
-    payload = await reader.readexactly(length)
-    return decode_payload(codec, payload)
+    return codec, await reader.readexactly(length)
 
 
 def send_message(sock: socket.socket, message: Message,

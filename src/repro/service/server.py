@@ -11,36 +11,39 @@ wave.
 
 Everything runs on one event loop, backend calls included: the
 coalescer answers each batch on the loop's thread, so the backend is
-never entered from two threads at once.  While a batch runs, the
+never entered from two threads at once, and each ticket's reply frame
+is written inside the batch that answers it.  While a batch runs, the
 server reads no frames — requests that arrive meanwhile wait in their
 sockets, and the next poll reads them together into the next batch.
 A ``stats`` request, an admission refusal, a new connection or a
 drain likewise waits for the batch to end, which bounds the wait by
 one batch.  (``repro serve --metrics-port`` is served by a thread of
-its own and is unaffected.)
+its own and is unaffected.)  A connection is read only once its
+writer has drained, so a client that stops reading its replies stops
+being read.
 
 Admission control is weight-based and deterministic: a request of
 ``k`` queries is refused (typed ``admission`` error reply, nothing
 queued) when it would push the sending client above
 ``max_inflight_client`` or the server above ``max_inflight`` — typed
-backpressure instead of unbounded queues.  Shutdown is a graceful
+backpressure instead of unbounded queues.  A request leaves flight
+when its reply is written; a reply too big for ``max_frame`` is
+replaced by a typed ``frame`` error.  Shutdown is a graceful
 :meth:`ScenarioServer.drain`: stop accepting, refuse new requests
-with a ``draining`` error, flush the coalescer, answer everything
-in flight, then close.  Tenant graph changes are announced by
-:meth:`ScenarioServer.bump_epoch` — an ``epoch`` push to subscribed
-clients, the listen-channel idiom — so clients holding derived state
-know to re-derive.
+with a ``draining`` error, flush the coalescer, which answers
+everything in flight, let each connection's writer drain, then close.
 """
 
 from __future__ import annotations
 
 import asyncio
-from typing import Any, Dict, List, Optional, Set, Tuple
+from functools import partial
+from typing import Any, Dict, List, Optional, Set, Tuple, Union
 
 from repro import obs as _obs
 from repro.exceptions import ReproError, ServiceError
 from repro.query.queries import Answer, Query
-from repro.query.session import DEFAULT_TENANT, SessionDialect, SessionStats
+from repro.query.session import SessionDialect, SessionStats
 from repro.scenarios.engine import CacheInfo
 from repro.service import protocol
 from repro.service.coalescer import Coalescer, Ticket
@@ -58,8 +61,6 @@ class _Connection:
         self.writer = writer
         self.stats = SessionStats()
         self.inflight = 0
-        self.subscribed = False
-        self.write_lock = asyncio.Lock()
 
 
 class ScenarioServer:
@@ -107,10 +108,8 @@ class ScenarioServer:
                                    max_batch=max_batch)
         self._server: Optional[asyncio.base_events.Server] = None
         self._connections: Set[_Connection] = set()
-        self._finish_tasks: Set["asyncio.Task[None]"] = set()
         self._inflight = 0
         self._draining = False
-        self._epochs: Dict[str, int] = {t: 0 for t in self.tenants}
         self._answered = 0
         self._rejected = 0
 
@@ -142,17 +141,19 @@ class ScenarioServer:
 
         New connections and new requests get ``draining`` errors from
         the moment this is called; everything already admitted is
-        flushed through the coalescer and answered before the
-        listener and the client connections close.  Idempotent.
+        flushed through the coalescer, which writes its replies, and
+        each connection's writer drains before the listener and the
+        client connections close.  Idempotent.
         """
         self._draining = True
         if self._server is not None:
             self._server.close()
         self.coalescer.flush("drain")
-        while self._finish_tasks:
-            await asyncio.gather(*list(self._finish_tasks),
-                                 return_exceptions=True)
         for conn in list(self._connections):
+            try:
+                await conn.writer.drain()
+            except ConnectionError:
+                pass
             conn.writer.close()
         if self._server is not None:
             await self._server.wait_closed()
@@ -161,33 +162,6 @@ class ScenarioServer:
         """Drain, then make double-closes harmless."""
         await self.drain()
         self._server = None
-
-    # ------------------------------------------------------------------
-    # epoch pushes
-    # ------------------------------------------------------------------
-    def bump_epoch(self, tenant: str = DEFAULT_TENANT) -> int:
-        """Announce a tenant graph change to subscribed clients.
-
-        Increments the tenant's epoch and pushes
-        ``{"type": "epoch", "tenant": ..., "epoch": ...}`` to every
-        subscriber — the invalidation signal for clients holding
-        state derived from answers (the server's own engine caches
-        are the backend owner's concern).  Returns the new epoch.
-        Must be called on the server's event loop.
-        """
-        if tenant not in self._epochs:
-            raise ServiceError(f"unknown tenant {tenant!r}",
-                               code="tenant")
-        self._epochs[tenant] += 1
-        epoch = self._epochs[tenant]
-        push = {"type": "epoch", "tenant": tenant, "epoch": epoch}
-        for conn in list(self._connections):
-            if conn.subscribed:
-                task = asyncio.get_running_loop().create_task(
-                    self._send(conn, push))
-                self._finish_tasks.add(task)
-                task.add_done_callback(self._finish_tasks.discard)
-        return epoch
 
     # ------------------------------------------------------------------
     # connection handling
@@ -201,9 +175,12 @@ class ScenarioServer:
                 return
             self._connections.add(conn)
             while True:
-                message = await protocol.read_message(
-                    reader, self.max_frame)
-                if not await self._dispatch(conn, message):
+                # Replies are written without waiting; a client that
+                # stops reading them stops being read here.
+                await writer.drain()
+                message = protocol.decode_payload(
+                    *await protocol.read_frame(reader, self.max_frame))
+                if not self._dispatch(conn, message):
                     break
         except (asyncio.IncompleteReadError, ConnectionError,
                 ServiceError):
@@ -220,33 +197,27 @@ class ScenarioServer:
     async def _handshake(self, reader: asyncio.StreamReader,
                          writer: asyncio.StreamWriter
                          ) -> Optional[_Connection]:
-        hello = await protocol.read_message(reader, self.max_frame)
-        peer = writer.get_extra_info("peername")
-        name = str(hello.get("client") or peer or "client")
-        conn = _Connection(name, writer)
+        # Only a JSON hello is decoded: no byte from a peer that has
+        # not passed the handshake reaches pickle.loads.
+        codec, payload = await protocol.read_frame(reader, self.max_frame)
+        if codec != protocol.CODEC_JSON:
+            self._refuse(writer, None, "protocol",
+                         "the hello must be a JSON frame")
+            return None
+        hello = protocol.decode_payload(codec, payload)
         if hello.get("type") != "hello":
-            await self._send(conn, {
-                "type": "error", "code": "protocol",
-                "message": f"expected hello, got "
-                           f"{hello.get('type')!r}",
-            })
+            self._refuse(writer, None, "protocol",
+                         f"expected hello, got {hello.get('type')!r}")
             return None
         if hello.get("version") != protocol.PROTOCOL_VERSION:
-            await self._send(conn, {
-                "type": "error", "code": "version",
-                "message": (
-                    f"server speaks protocol "
-                    f"{protocol.PROTOCOL_VERSION}, client offered "
-                    f"{hello.get('version')!r}"),
-            })
+            self._refuse(writer, None, "version", (
+                f"server speaks protocol {protocol.PROTOCOL_VERSION}, "
+                f"client offered {hello.get('version')!r}"))
             return None
         if self._draining:
-            await self._send(conn, {
-                "type": "error", "code": "draining",
-                "message": "server is draining",
-            })
+            self._refuse(writer, None, "draining", "server is draining")
             return None
-        await self._send(conn, {
+        self._send(writer, {
             "type": "welcome",
             "version": protocol.PROTOCOL_VERSION,
             "server": self.name,
@@ -257,10 +228,11 @@ class ScenarioServer:
                 "max_frame": self.max_frame,
             },
         })
-        return conn
+        peer = writer.get_extra_info("peername")
+        return _Connection(str(hello.get("client") or peer or "client"),
+                           writer)
 
-    async def _dispatch(self, conn: _Connection,
-                        message: Message) -> bool:
+    def _dispatch(self, conn: _Connection, message: Message) -> bool:
         """Serve one request; return False to end the connection."""
         kind = message.get("type")
         mid = message.get("id")
@@ -268,7 +240,7 @@ class ScenarioServer:
             self._handle_answer(conn, message)
             return True
         if kind == "stats":
-            await self._send(conn, {
+            self._send(conn.writer, {
                 "type": "stats", "id": mid,
                 "client": conn.stats,
                 "cache": self.cache_info(),
@@ -280,20 +252,11 @@ class ScenarioServer:
                 },
             })
             return True
-        if kind == "subscribe":
-            conn.subscribed = True
-            await self._send(conn, {
-                "type": "subscribed", "id": mid,
-                "epochs": dict(self._epochs),
-            })
-            return True
         if kind == "goodbye":
-            await self._send(conn, {"type": "bye", "id": mid})
+            self._send(conn.writer, {"type": "bye", "id": mid})
             return False
-        await self._send(conn, {
-            "type": "error", "id": mid, "code": "protocol",
-            "message": f"unknown message type {kind!r}",
-        })
+        self._refuse(conn.writer, mid, "protocol",
+                     f"unknown message type {kind!r}")
         return True
 
     # ------------------------------------------------------------------
@@ -308,13 +271,7 @@ class ScenarioServer:
             code, text = refusal
             if _obs.ENABLED:
                 _obs.inc("repro_admission_refusals_total", code=code)
-            task = asyncio.get_running_loop().create_task(
-                self._send(conn, {
-                    "type": "error", "id": mid,
-                    "code": code, "message": text,
-                }))
-            self._finish_tasks.add(task)
-            task.add_done_callback(self._finish_tasks.discard)
+            self._refuse(conn.writer, mid, code, text)
             return
         queries = list(message["queries"])
         tenant = str(message.get("tenant") or self.tenants[0])
@@ -333,18 +290,12 @@ class ScenarioServer:
             span_obj = _obs.start_span(
                 "service.request", parent=ctx,
                 client=conn.name, tenant=tenant, queries=weight)
-        future: "asyncio.Future[List[Answer]]" = (
-            asyncio.get_running_loop().create_future())
-        ticket = Ticket(queries=queries,
-                        scheme=message.get("scheme"),
-                        tenant=tenant, future=future,
-                        trace=(span_obj.context().to_dict()
-                               if span_obj is not None else None))
-        self.coalescer.submit(ticket)
-        task = asyncio.get_running_loop().create_task(
-            self._finish(conn, mid, ticket, span_obj))
-        self._finish_tasks.add(task)
-        task.add_done_callback(self._finish_tasks.discard)
+        self.coalescer.submit(Ticket(
+            queries=queries, scheme=message.get("scheme"),
+            tenant=tenant,
+            reply=partial(self._reply, conn, mid, weight, span_obj),
+            trace=(span_obj.context().to_dict()
+                   if span_obj is not None else None)))
 
     def _admission_refusal(self, conn: _Connection, message: Message
                            ) -> Optional[Tuple[str, str]]:
@@ -374,39 +325,31 @@ class ScenarioServer:
                 f"back off and retry")
         return None
 
-    async def _finish(self, conn: _Connection, mid: Any,
-                      ticket: Ticket,
-                      span_obj: Optional[Any] = None) -> None:
-        weight = len(ticket.queries)
-        try:
-            answers = await ticket.future
-        except ReproError as exc:
-            await self._send(conn, {
+    def _reply(self, conn: _Connection, mid: Any, weight: int,
+               span_obj: Optional[Any],
+               outcome: Union[List[Answer], Exception]) -> None:
+        """A ticket's reply: write its frame now and book the request
+        out of flight."""
+        if isinstance(outcome, Exception):
+            self._send(conn.writer, {
                 "type": "error", "id": mid,
-                "code": getattr(exc, "code", "query"),
-                "exc_type": type(exc).__name__,
-                "message": str(exc),
+                "code": (getattr(outcome, "code", "query")
+                         if isinstance(outcome, ReproError)
+                         else "internal"),
+                "exc_type": type(outcome).__name__,
+                "message": str(outcome),
             })
-        except Exception as exc:  # noqa: BLE001 — connection boundary
-            await self._send(conn, {
-                "type": "error", "id": mid, "code": "internal",
-                "exc_type": type(exc).__name__,
-                "message": str(exc),
-            })
-        else:
-            conn.stats.record_answers(answers)
-            self._answered += len(answers)
+        elif self._send(conn.writer, {
+                "type": "answers", "id": mid, "answers": outcome}):
+            conn.stats.record_answers(outcome)
+            self._answered += len(outcome)
             if _obs.ENABLED:
-                _obs.inc("repro_service_answers_total", len(answers),
+                _obs.inc("repro_service_answers_total", len(outcome),
                          client=conn.name)
-            await self._send(conn, {
-                "type": "answers", "id": mid, "answers": answers,
-            })
-        finally:
-            if span_obj is not None:
-                _obs.finish_span(span_obj)
-            conn.inflight -= weight
-            self._inflight -= weight
+        if span_obj is not None:
+            _obs.finish_span(span_obj)
+        conn.inflight -= weight
+        self._inflight -= weight
 
     def _backend_answer(self, queries: List[Query], scheme: Any,
                         tenant: str) -> List[Answer]:
@@ -432,18 +375,32 @@ class ScenarioServer:
         )
         return counters
 
-    async def _send(self, conn: _Connection,
-                    message: Message) -> None:
-        """Write one frame; a dead connection drops the write."""
-        async with conn.write_lock:
-            if conn.writer.is_closing():
-                return
-            try:
-                conn.writer.write(
-                    protocol.encode_message(message, self.max_frame))
-                await conn.writer.drain()
-            except (ConnectionError, RuntimeError):
-                conn.writer.close()
+    def _send(self, writer: asyncio.StreamWriter,
+              message: Message) -> bool:
+        """Write one frame now, without waiting for it to drain.
+
+        A message too big for ``max_frame`` goes as a typed ``frame``
+        error in its place, and the call returns False; a closed
+        connection drops the write.
+        """
+        sent = True
+        try:
+            frame = protocol.encode_message(message, self.max_frame)
+        except ServiceError as exc:
+            sent = False
+            frame = protocol.encode_message({
+                "type": "error", "id": message.get("id"),
+                "code": exc.code, "message": str(exc),
+            }, self.max_frame)
+        if not writer.is_closing():
+            writer.write(frame)
+        return sent
+
+    def _refuse(self, writer: asyncio.StreamWriter, mid: Any,
+                code: str, text: str) -> None:
+        """Write a typed ``error`` reply to request ``mid``."""
+        self._send(writer, {"type": "error", "id": mid, "code": code,
+                            "message": text})
 
     def __repr__(self) -> str:
         state = ("draining" if self._draining

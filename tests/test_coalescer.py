@@ -8,15 +8,17 @@ runs — so every ordering below is forced by the test: no thread, no
 timer, no sleep.
 
 The contract pinned here: every batch is answered on the event
-loop's thread; tickets admitted to an idle coalescer go to the
-backend as one batch at the end of the event-loop turn that admitted
-them (flush reason ``idle``), never later and never from inside
-``submit``; tickets admitted while a batch runs ride one next batch;
-``max_batch`` caps a batch (reason ``size``); ``flush("drain")``
-answers everything admitted at once (reason ``drain``); only a
-merged batch that fails is re-answered ticket by ticket; and
-``coalesced`` counts the tickets that asked about an answer's fault
-set, not the queries.
+loop's thread, and each of its tickets gets exactly one reply before
+the ``flush`` that took it returns; tickets admitted to an idle
+coalescer go to the backend as one batch at the end of the
+event-loop turn that admitted them (flush reason ``idle``), never
+later and never from inside ``submit``; tickets admitted while a
+batch runs ride one next batch; ``max_batch`` caps a batch (reason
+``size``); ``flush("drain")`` answers everything admitted at once
+(reason ``drain``); only a merged batch that fails is re-answered
+ticket by ticket; and ``coalesced`` counts the tickets that asked
+about an answer's fault set, not the queries.  Every scenario also
+fails if its event loop reports an unhandled error.
 """
 
 import asyncio
@@ -65,33 +67,68 @@ class _Backend:
 
 class _Recording(Coalescer):
     """A coalescer recording the reason of every flush that hands a
-    batch to the backend — the seam every hand-off must cross."""
+    batch to the backend — the seam every hand-off must cross — and
+    checking that each ticket of the batch got exactly one reply
+    before the flush returned."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         self.reasons = []
 
     def flush(self, reason):
-        if self._pending:
+        batch = list(self._pending)
+        if batch:
             self.reasons.append(reason)
         super().flush(reason)
+        assert [len(t.reply.outcomes) for t in batch] == [1] * len(batch)
+
+
+class _Reply:
+    """A ticket's reply callable that keeps every outcome it gets."""
+
+    def __init__(self):
+        self.outcomes = []
+
+    def __call__(self, outcome):
+        self.outcomes.append(outcome)
 
 
 def _ticket(*queries):
     return Ticket(queries=list(queries), scheme=None, tenant="default",
-                  future=asyncio.get_running_loop().create_future())
+                  reply=_Reply())
+
+
+def _result(ticket):
+    """The ticket's one reply: its answers, or its error raised."""
+    (outcome,) = ticket.reply.outcomes
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome
+
+
+async def _answered(ticket):
+    """Yield to the loop until the ticket has its reply; then
+    :func:`_result`."""
+    while not ticket.reply.outcomes:
+        await asyncio.sleep(0)
+    return _result(ticket)
 
 
 def _run(scenario, **kwargs):
     """Run ``scenario(coalescer, backend)`` on a fresh event loop,
-    bounded by WAIT."""
+    bounded by WAIT; fail if the loop reports an unhandled error (an
+    exception escaping an idle flush lands there, not in the test)."""
     backend = _Backend()
+    errors = []
 
     async def main():
+        asyncio.get_running_loop().set_exception_handler(
+            lambda loop, context: errors.append(context))
         coalescer = _Recording(backend, **kwargs)
         await asyncio.wait_for(scenario(coalescer, backend), WAIT)
 
     asyncio.run(main())
+    assert errors == []
 
 
 def test_lone_ticket_goes_to_the_backend_within_one_loop_turn():
@@ -103,7 +140,7 @@ def test_lone_ticket_goes_to_the_backend_within_one_loop_turn():
         await asyncio.sleep(0)
         # ...and no later than the end of it, with no timer
         assert coalescer.reasons == ["idle"]
-        (answer,) = await ticket.future
+        (answer,) = _result(ticket)
         assert answer.value == 4
         assert answer.provenance.coalesced == 1
 
@@ -115,7 +152,7 @@ def test_backend_runs_on_the_event_loop_thread():
         loop_thread = threading.get_ident()
         lone = _ticket(DistanceQuery(0, 8))
         coalescer.submit(lone)
-        await lone.future
+        await _answered(lone)
         backlog = [_ticket(DistanceQuery(0, t)) for t in (1, 2)]
         for ticket in backlog:
             coalescer.submit(ticket)  # the second flushes for size
@@ -132,7 +169,7 @@ def test_tickets_admitted_in_one_turn_ride_one_batch():
         a, b = _ticket(VectorQuery(2, F)), _ticket(VectorQuery(3, F))
         coalescer.submit(a)
         coalescer.submit(b)
-        got_a, got_b = await asyncio.gather(a.future, b.future)
+        got_a, got_b = await _answered(a), _result(b)
         assert coalescer.reasons == ["idle"]
         assert backend.calls == [a.queries + b.queries]
         for (answer,) in (got_a, got_b):
@@ -148,7 +185,7 @@ def test_coalesced_counts_tickets_not_queries():
         lone = _ticket(VectorQuery(0, F), VectorQuery(1, F),
                        DistanceQuery(0, 8, F))
         coalescer.submit(lone)
-        answers = await lone.future
+        answers = await _answered(lone)
         # one ticket's own queries on F are not company
         assert [a.provenance.coalesced for a in answers] == [1, 1, 1]
         assert coalescer.counters()["coalesced_queries"] == 0
@@ -163,8 +200,7 @@ def test_coalesced_counts_tickets_not_queries():
 
         backend.during[2] = arrive
         coalescer.submit(_ticket(DistanceQuery(0, 1)))
-        got_f, got_g = await asyncio.gather(two_on_f.future,
-                                            one_on_g.future)
+        got_f, got_g = await _answered(two_on_f), _result(one_on_g)
         assert backend.calls[2] == two_on_f.queries + one_on_g.queries
         assert [a.provenance.coalesced for a in got_f + got_g] == [
             1, 1, 1]
@@ -188,10 +224,10 @@ def test_tickets_admitted_in_flight_ride_one_next_batch():
 
         backend.during[1] = arrive
         coalescer.submit(first)
-        got_a, got_b = await asyncio.gather(a.future, b.future)
+        got_a, got_b = await _answered(a), _result(b)
         assert reasons_then == [["idle"]]  # both wait behind first
         assert coalescer.reasons == ["idle", "idle"]
-        assert first.future.result()[0].value == 1
+        assert _result(first)[0].value == 1
         assert backend.calls == [first.queries, a.queries + b.queries]
         for (answer,) in (got_a, got_b):
             assert answer.provenance.coalesced == 2
@@ -210,9 +246,9 @@ def test_max_batch_splits_a_backlog():
         # every second ticket fills a batch, answered inside submit;
         # the fifth waits for the end of the turn
         assert coalescer.reasons == ["size", "size"]
-        assert [t.future.done() for t in backlog] == [
-            True, True, True, True, False]
-        await asyncio.gather(*(t.future for t in backlog))
+        assert [len(t.reply.outcomes) for t in backlog] == [
+            1, 1, 1, 1, 0]
+        await _answered(backlog[-1])
         assert coalescer.reasons == ["size", "size", "idle"]
         assert [len(call) for call in backend.calls] == [2, 2, 1]
 
@@ -220,18 +256,26 @@ def test_max_batch_splits_a_backlog():
 
 
 def test_ticket_submitted_from_an_answers_continuation_is_answered():
-    """The next request of a client that just got its answer is
-    submitted from that answer's continuation, after its batch: it
-    must still be flushed."""
+    """A ticket submitted from an answer's continuation — inside that
+    ticket's reply, while the flush that took its batch is still
+    demultiplexing it — must still be flushed, in a batch of its
+    own."""
     async def scenario(coalescer, backend):
-        first = _ticket(DistanceQuery(0, 1))
-        coalescer.submit(first)
-        await first.future
         second = _ticket(DistanceQuery(0, 2))
-        coalescer.submit(second)
-        (answer,) = await second.future
+
+        class ReplyThenSubmit(_Reply):
+            def __call__(self, outcome):
+                super().__call__(outcome)
+                coalescer.submit(second)
+
+        first = _ticket(DistanceQuery(0, 1))
+        first.reply = ReplyThenSubmit()
+        coalescer.submit(first)
+        (answer,) = await _answered(second)
         assert answer.value == 2
+        assert _result(first)[0].value == 1
         assert coalescer.reasons == ["idle", "idle"]
+        assert backend.calls == [first.queries, second.queries]
 
     _run(scenario)
 
@@ -249,10 +293,10 @@ def test_backend_bug_fails_its_batch_and_the_next_ticket_is_answered():
         coalescer.submit(_ticket(DistanceQuery(0, 1)))
         for ticket in (a, b):
             with pytest.raises(RuntimeError, match="backend bug"):
-                await ticket.future
+                await _answered(ticket)
         after = _ticket(DistanceQuery(0, 4))
         coalescer.submit(after)
-        (answer,) = await after.future
+        (answer,) = await _answered(after)
         assert answer.value == 2
         # a backend bug is not retried ticket by ticket
         assert [len(call) for call in backend.calls] == [1, 2, 1]
@@ -267,8 +311,8 @@ def test_drain_answers_pending_tickets_at_once():
         coalescer.submit(b)
         coalescer.flush("drain")
         # answered before flush returns: no batch is left running
-        assert a.future.result()[0].value == 1
-        assert b.future.result()[0].value == 2
+        assert _result(a)[0].value == 1
+        assert _result(b)[0].value == 2
         await asyncio.sleep(0)
         # the idle flush submit scheduled finds nothing left to do
         assert coalescer.reasons == ["drain"]
@@ -282,7 +326,7 @@ def test_only_a_merged_failure_is_reanswered_ticket_by_ticket():
         lone = _ticket(DistanceQuery(0, 10 ** 6))
         coalescer.submit(lone)
         with pytest.raises(QueryError):
-            await lone.future
+            await _answered(lone)
         assert backend.calls == [lone.queries]  # its error, once
 
         good = _ticket(DistanceQuery(0, 2))
@@ -294,10 +338,10 @@ def test_only_a_merged_failure_is_reanswered_ticket_by_ticket():
 
         backend.during[2] = arrive
         coalescer.submit(_ticket(DistanceQuery(0, 1)))
-        (answer,) = await good.future
+        (answer,) = await _answered(good)
         assert answer.value == 2
         with pytest.raises(QueryError):
-            await bad.future
+            _result(bad)
         assert backend.calls[2:] == [good.queries + bad.queries,
                                      good.queries, bad.queries]
 

@@ -6,29 +6,46 @@ fault set ride one wave when the server reads both in one poll, or
 when both arrive while another request's batch holds the server's
 event loop — pinned via CacheInfo and the ``coalesced`` provenance),
 admission-control backpressure, ticket isolation (one client's
-malformed stream cannot poison batch-mates), disconnect resilience,
-graceful drain, and epoch pushes.
+malformed stream cannot poison batch-mates), pipelined requests on
+one connection, oversized replies, disconnect resilience and
+graceful drain.  Every test fails if a server's event loop reports an
+unhandled error.
 """
 
+import pickle
 import socket
+import struct
 import threading
-import time
 
 import pytest
 
 from repro import obs
 from repro.exceptions import QueryError, ServiceError
+from repro.graphs import generators
 from repro.query import DistanceQuery, Session, VectorQuery
 from repro.service import BackgroundServer, ServiceClient
 from repro.service import protocol
 
 
-class _SlowSession(Session):
-    """A deliberately slow backend: every answer sleeps first."""
+@pytest.fixture(autouse=True)
+def loop_errors(monkeypatch):
+    """Fail the test if a server's event loop reports an unhandled
+    error: every :class:`BackgroundServer` started here records each
+    context its loop's exception handler receives (an exception no
+    task or callback handled, which otherwise only logs)."""
+    errors = []
+    start = BackgroundServer.__init__
 
-    def answer(self, queries, *args, **kwargs):
-        time.sleep(0.15)
-        return super().answer(queries, *args, **kwargs)
+    def init(self, *args, **kwargs):
+        start(self, *args, **kwargs)
+        # Queued ahead of every callback of a connection made later.
+        self._loop.call_soon_threadsafe(
+            self._loop.set_exception_handler,
+            lambda loop, context: errors.append(context))
+
+    monkeypatch.setattr(BackgroundServer, "__init__", init)
+    yield errors
+    assert errors == []
 
 
 class _GatedSession(Session):
@@ -50,6 +67,23 @@ class _GatedSession(Session):
 
 def _wave_calls(info):
     return sum(count for _, count in info.wave_backends)
+
+
+#: Set when a :class:`_PickledHello` is unpickled.
+_UNPICKLED = threading.Event()
+
+
+def _unpickled_hello():
+    _UNPICKLED.set()
+    return {"type": "hello", "version": protocol.PROTOCOL_VERSION,
+            "client": "pickled"}
+
+
+class _PickledHello:
+    """Unpickles by calling a module-level function: proof of decode."""
+
+    def __reduce__(self):
+        return _unpickled_hello, ()
 
 
 @pytest.fixture()
@@ -175,6 +209,43 @@ class TestProtocol:
         with pytest.raises(ServiceError) as info:
             _connect(server)
         assert info.value.code == "version"
+
+    def test_pickled_hello_is_refused_before_decoding(self, served):
+        """No byte from a peer that has not passed the handshake
+        reaches pickle.loads: a pickle-coded hello is refused with a
+        protocol error, and the function its pickle names never
+        runs."""
+        server, _ = served
+        _UNPICKLED.clear()
+        payload = pickle.dumps(_PickledHello())
+        sock = socket.create_connection(server.address, timeout=30)
+        try:
+            sock.sendall(struct.pack(">IB", len(payload), ord("P"))
+                         + payload)
+            reply = protocol.recv_message(sock)
+        finally:
+            sock.close()
+        assert reply["type"] == "error" and reply["code"] == "protocol"
+        assert not _UNPICKLED.is_set()
+
+    def test_oversized_reply_is_a_typed_frame_error(self):
+        """A reply bigger than ``max_frame`` goes back as a ``frame``
+        error instead of leaving the client waiting, is not booked as
+        answered, and the connection serves its next request."""
+        graph = generators.grid(20, 20)
+        with BackgroundServer(Session(graph), max_frame=4000) as server:
+            with _connect(server, timeout=5) as client:
+                with pytest.raises(ServiceError) as info:
+                    client.answer([VectorQuery(s, ((0, 1),))
+                                   for s in range(3)])
+                assert info.value.code == "frame"
+                (answer,) = client.answer(
+                    [DistanceQuery(0, graph.n - 1)])
+                assert answer.value == 38
+            server.drain(timeout=30)
+            counters = server.server.counters()
+        assert counters["answered"] == 1
+        assert counters["inflight"] == 0
 
     def test_frame_limit_enforced_before_send(self):
         big = {"type": "blob", "payload": "x" * 4096}
@@ -338,6 +409,43 @@ class TestCoalescing:
         assert server.server.counters()["batches"] == 2
 
 
+class TestPipelining:
+    def test_pipelined_requests_are_answered_in_id_order(self):
+        """One connection writes K requests without reading a reply.
+        Another client is served meanwhile; then the K replies arrive
+        in id order, each the in-process session's answer, and none
+        is left in flight."""
+        k = 200
+        graph = generators.grid(30, 30)
+        faults = ((0, 1),)
+        with BackgroundServer(Session(graph)) as server:
+            sock = _raw_connect(server, "pipeline")
+            try:
+                for i in range(k):
+                    protocol.send_message(sock, {
+                        "type": "answer", "id": i,
+                        "queries": [VectorQuery(i, faults)],
+                    })
+                with _connect(server, client="other") as other:
+                    (answer,) = other.answer(
+                        [DistanceQuery(0, graph.n - 1)])
+                assert answer.value == 58
+                replies = [protocol.recv_message(sock)
+                           for _ in range(k)]
+                # a stats request is read after the last reply is
+                # booked out of flight
+                protocol.send_message(sock, {"type": "stats", "id": k})
+                stats = protocol.recv_message(sock)
+            finally:
+                sock.close()
+        assert [r["id"] for r in replies] == list(range(k))
+        reference = Session(graph).answer(
+            [VectorQuery(i, faults) for i in range(k)])
+        assert [list(r["answers"][0].value) for r in replies] == [
+            list(a.value) for a in reference]
+        assert stats["server"]["inflight"] == 0
+
+
 class TestTracing:
     @pytest.fixture(autouse=True)
     def clean_obs(self):
@@ -361,8 +469,9 @@ class TestTracing:
                 lambda: a.answer([VectorQuery(0, (e,))]),
                 lambda: b.answer([VectorQuery(1, (e,))]),
             )
-        # the server closes each service.request span after sending
-        # its reply; draining waits for both before they are read
+        # the server closes each service.request span just after
+        # writing its reply; a drain, run on the server's loop, puts
+        # that before the records are read
         server.drain(timeout=30)
         records = obs.span_records()
         roots = [r for r in records if r["name"] == "client.request"]
@@ -439,8 +548,8 @@ class TestAdmissionControl:
                 # on the same connection is served normally
                 answers = client.answer([DistanceQuery(0, 1)])
                 assert len(answers) == 1
-            # the server books a request out of flight only after
-            # writing its reply; draining waits for that
+            # the server books a request out of flight just after
+            # writing its reply; a drain puts that before the read
             server.drain(timeout=30)
             counters = server.server.counters()
         assert counters["rejected"] == 1
@@ -489,50 +598,6 @@ class TestResilience:
         with pytest.raises(ServiceError):
             client.answer([DistanceQuery(0, 3)])
         client.close()
-
-
-class TestEpochPushes:
-    def test_subscribe_and_bump(self, served):
-        server, _ = served
-        with _connect(server) as client:
-            assert client.subscribe() == {"default": 0}
-            assert server.bump_epoch() == 1
-            assert client.poll_pushes(timeout=2.0) == {"default": 1}
-            # pushes also piggyback on the next request/reply dialog
-            server.bump_epoch()
-            client.answer([DistanceQuery(0, 1)])
-            assert client.epochs == {"default": 2}
-
-    def test_poll_pushes_leaves_in_flight_replies_alone(self,
-                                                        er_medium):
-        """poll_pushes during an in-flight answer waits for the
-        dialog instead of reading (and dropping) its reply frame."""
-        with BackgroundServer(_SlowSession(er_medium)) as server, \
-                _connect(server, timeout=10) as client:
-            for _ in range(3):
-                outcome = {}
-
-                def ask():
-                    try:
-                        outcome["answers"] = client.answer(
-                            [DistanceQuery(0, 1)])
-                    except Exception as exc:  # noqa: BLE001 — asserted
-                        outcome["error"] = exc
-
-                asker = threading.Thread(target=ask, daemon=True)
-                asker.start()
-                time.sleep(0.05)  # the request is in flight now
-                assert client.poll_pushes(timeout=0.3) == {}
-                asker.join(timeout=10)
-                assert not asker.is_alive()
-                assert "error" not in outcome, outcome
-                assert len(outcome["answers"]) == 1
-
-    def test_unknown_tenant_bump_raises(self, served):
-        server, _ = served
-        with pytest.raises(ServiceError) as info:
-            server.bump_epoch("nobody")
-        assert info.value.code == "tenant"
 
 
 class TestServedFleet:
