@@ -97,8 +97,7 @@ def run_fleet(graph, stream, passes: int, workers: int, memoize: int):
             answers = fleet.answer(stream)
         seconds = time.perf_counter() - t0
         reports = fleet.worker_reports()
-        per_worker = [info for rep in reports.values()
-                      for _, info in rep.cache_infos]
+        per_worker = [rep.cache_info for rep in reports.values()]
         merged = fleet.cache_info()
         stats = fleet.stats
         respawns = fleet.registry.respawns

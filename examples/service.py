@@ -44,7 +44,7 @@ def main() -> None:
         # --- 1. the session dialect, spoken over a socket ------------
         with ServiceClient(host, port, client="tour") as client:
             print(f"welcome: server={client.server!r} "
-                  f"tenants={client.tenants} limits={client.limits}")
+                  f"limits={client.limits}")
             client.submit(DistanceQuery(0, graph.n - 1, [(0, 1)]))
             client.submit([EccentricityQuery(3, [(0, 1)])])
             answers = client.gather()

@@ -10,7 +10,7 @@ share one format.
 from __future__ import annotations
 
 import time
-from typing import Callable, Dict, Iterable, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.graphs import generators
 from repro.core.scheme import BFSTiebreaking, RestorableTiebreaking

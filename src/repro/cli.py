@@ -203,8 +203,8 @@ def cmd_query(args) -> int:
     print(f"graph: n={graph.n}, m={graph.m}")
     if connect:
         print(f"service: connected to {session.server!r} at "
-              f"{connect} (tenants {list(session.tenants)}) — the "
-              f"local graph args must describe the served graph")
+              f"{connect} — the local graph args must describe the "
+              f"served graph")
     elif workers > 0:
         print(f"fleet: {workers} workers, sharded by fault set")
     print(f"query stream: {session.pending} queries "
@@ -359,8 +359,7 @@ def cmd_stats(args) -> int:
                        client="repro-stats") as client:
         reply = client.server_stats()
     server = reply.get("server", {})
-    print(f"server {client.server!r} at {args.connect} "
-          f"(tenants {list(client.tenants)})")
+    print(f"server {client.server!r} at {args.connect}")
     print("counters: " + ", ".join(
         f"{name}={value}" for name, value in sorted(server.items())))
     info = reply.get("cache")

@@ -21,7 +21,7 @@ import itertools
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.exceptions import GraphError
-from repro.graphs.base import Edge, Graph, canonical_edge
+from repro.graphs.base import Edge, canonical_edge
 from repro.spt.bfs import UNREACHABLE, bfs_distances
 from repro.spt.paths import Path
 

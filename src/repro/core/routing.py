@@ -18,7 +18,7 @@ procedure is guaranteed to find a true replacement shortest path
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from repro.exceptions import DisconnectedError, GraphError, RestorationError
 from repro.graphs.base import Edge, canonical_edge

@@ -17,8 +17,9 @@ from repro.devtools.lint.reporters import render_json, render_text
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.devtools.lint",
-        description="AST analyzer for kernel hygiene, layering, and the "
-                    "cache-aliasing contract (see CONTRIBUTING.md).",
+        description="AST analyzer for kernel hygiene, layering, the "
+                    "cache-aliasing contract, obs use in kernels and "
+                    "unused imports (see CONTRIBUTING.md).",
     )
     parser.add_argument("paths", nargs="*", default=["src"],
                         help="files or directories to lint (default: src)")

@@ -108,9 +108,10 @@ class ModuleContext:
 # (see ``all_rules`` below; imported lazily to avoid a module cycle).
 # ---------------------------------------------------------------------------
 def _families():
-    from repro.devtools.lint import aliasing, hygiene, layering, obsrules
+    from repro.devtools.lint import (aliasing, hygiene, imports, layering,
+                                     obsrules)
 
-    return (hygiene, layering, aliasing, obsrules)
+    return (hygiene, layering, aliasing, obsrules, imports)
 
 
 def all_rules() -> Tuple[Rule, ...]:

@@ -23,7 +23,7 @@ as a real CONGEST implementation would.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, List, Optional, Tuple
 
 from repro.graphs.base import Edge, Graph, canonical_edge
 from repro.distributed.congest import (

@@ -26,8 +26,8 @@ messages in flight or queued and no node has requested wake-up — or at
 from __future__ import annotations
 
 from collections import defaultdict, deque
-from dataclasses import dataclass, field
-from typing import Any, Callable, Deque, Dict, Iterable, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Any, Deque, Dict, List, Optional, Tuple
 
 from repro.exceptions import CongestError
 from repro.graphs.base import Graph

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 import random
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.exceptions import CongestError
 from repro.graphs.base import Edge, Graph

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Any, List, Optional, Set, Tuple
 
 from repro.exceptions import GraphError
 from repro.graphs.base import Edge, Graph, canonical_edge

@@ -24,8 +24,9 @@ subclasses partition errors by subsystem:
   (an unknown backend name, or the vectorized backend requested while
   numpy is absent); raised by :mod:`repro.backends`.
 * :class:`FleetError` — the engine fleet (:mod:`repro.fleet`) was
-  misconfigured or lost a worker it could not replace (unknown
-  tenant, no live workers, a reply that does not match its request).
+  misconfigured or lost a worker it could not replace (zero workers,
+  a worker that dies during init, a reply that does not match its
+  request).
 * :class:`ServiceError` — the scenario service (:mod:`repro.service`)
   refused or could not serve a request (protocol version mismatch,
   admission-control backpressure, a draining server, a malformed
@@ -94,12 +95,12 @@ class QueryError(ReproError):
 class FleetError(ReproError):
     """The engine fleet (:mod:`repro.fleet`) hit an unservable state.
 
-    Raised for configuration errors (unknown tenant, zero workers, a
-    per-call scheme handed to a fleet that shards across processes)
-    and for protocol violations (a worker reply that does not answer
-    the request sent).  Worker *failures* are not fleet errors: a dead
-    worker is respawned, and if that fails its shard is served by the
-    in-process serial fallback — degradation is counted, not raised.
+    Raised for configuration errors (zero workers, a worker that
+    cannot start) and for protocol violations (a worker reply that
+    does not answer the request sent).  Worker *failures* are not
+    fleet errors: a dead worker is respawned, and if that fails its
+    shard is served by the in-process serial fallback — degradation
+    is counted, not raised.
     """
 
 

@@ -4,15 +4,15 @@ cache-affine routing.
 One in-process :class:`~repro.query.session.Session` is bounded by
 one LRU budget and one interpreter.  The fleet layer pools both: a
 :class:`~repro.fleet.session.FleetSession` shards query streams over
-a registry of persistent worker processes, each holding warm
-per-tenant engines, so the deployment's effective cache is the *sum*
-of the workers' budgets and shards execute concurrently.  The moving
-parts, bottom up:
+a registry of persistent worker processes, each holding one warm
+engine over the same graph, so the deployment's effective cache is
+the *sum* of the workers' budgets and shards execute concurrently.
+The moving parts, bottom up:
 
 * :mod:`repro.fleet.protocol` — the pickle-clean message vocabulary
   (spawn-safe by contract);
 * :mod:`repro.fleet.worker` — the child-process loop, one warm
-  session per tenant;
+  session;
 * :mod:`repro.fleet.registry` — worker lifecycle, respawn and
   in-process serial fallback;
 * :mod:`repro.fleet.router` — cache-affine sharding (by canonical
@@ -30,7 +30,6 @@ fleet: importing it pulls in :mod:`multiprocessing`, which consumers
 of the plain in-process API never need.
 """
 
-from repro.fleet.protocol import TenantSpec
 from repro.fleet.registry import WorkerRegistry
 from repro.fleet.router import Router, fault_hash
 from repro.fleet.session import FleetSession
@@ -38,7 +37,6 @@ from repro.fleet.session import FleetSession
 __all__ = [
     "FleetSession",
     "Router",
-    "TenantSpec",
     "WorkerRegistry",
     "fault_hash",
 ]

@@ -27,7 +27,6 @@ from typing import Any, Tuple
 from repro.exceptions import FleetError
 
 __all__ = [
-    "TenantSpec",
     "Request",
     "InitRequest",
     "ExecuteRequest",
@@ -44,47 +43,35 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class TenantSpec:
-    """Everything a worker needs to host one tenant graph.
-
-    ``memoize`` is the tenant's *eviction budget*: each worker builds
-    the tenant's engine with this LRU capacity, so a noisy tenant can
-    evict only its own entries, never a neighbour's.  ``warm_sources``
-    are base-vector origins the worker computes once at init (before
-    any query arrives), the warm-start idiom for monitored sources.
-    ``scheme`` rides along for restoration queries and must itself be
-    picklable (schemes over the tenant graph are).
-    """
-
-    name: str
-    graph: Any
-    memoize: int = 4096
-    delta: bool = True
-    scheme: Any = None
-    warm_sources: Tuple[int, ...] = ()
-
-
-@dataclass(frozen=True)
 class Request:
     """Base marker for parent → worker messages."""
 
 
 @dataclass(frozen=True)
 class InitRequest(Request):
-    """First message on a fresh channel: build the tenant sessions.
+    """First message on a fresh channel: build the worker's session.
+
+    ``graph``, ``memoize`` and ``delta`` are the engine's construction
+    arguments (see :class:`~repro.scenarios.engine.ScenarioEngine`), so
+    ``memoize`` is each worker's own LRU budget.  ``scheme`` rides
+    along for restoration queries and must itself be picklable
+    (schemes over the graph are).
 
     Sent over the connection rather than passed as process arguments,
-    so the tenant payload crosses the pickle seam under *every* start
-    method — ``fork`` included — and a spec that would not survive
-    ``spawn`` fails loudly everywhere.
+    so the graph crosses the pickle seam under *every* start method —
+    ``fork`` included — and one that would not survive ``spawn``
+    fails loudly everywhere.
     """
 
-    tenants: Tuple[TenantSpec, ...]
+    graph: Any
+    memoize: int = 4096
+    delta: bool = True
+    scheme: Any = None
 
 
 @dataclass(frozen=True)
 class ExecuteRequest(Request):
-    """Answer a shard of typed queries for one tenant.
+    """Answer a shard of typed queries.
 
     ``trace`` is an optional observability context
     (:class:`~repro.obs.trace.TraceContext`, or its ``to_dict`` form)
@@ -94,7 +81,6 @@ class ExecuteRequest(Request):
     treat anything malformed as "untraced", never as an error.
     """
 
-    tenant: str
     queries: Tuple[Any, ...]
     scheme: Any = None
     trace: Any = None
@@ -102,7 +88,7 @@ class ExecuteRequest(Request):
 
 @dataclass(frozen=True)
 class ReportRequest(Request):
-    """Ask for per-tenant cache/stats snapshots."""
+    """Ask for the worker's cache/stats snapshots."""
 
 
 @dataclass(frozen=True)
@@ -119,7 +105,7 @@ class Reply:
 
 @dataclass(frozen=True)
 class ReadyReply(Reply):
-    tenants: Tuple[str, ...]
+    """Answer to :class:`InitRequest`: the worker's session is built."""
 
 
 @dataclass(frozen=True)
@@ -134,8 +120,11 @@ class ExecuteReply(Reply):
 
 @dataclass(frozen=True)
 class ReportReply(Reply):
-    cache_infos: Tuple[Tuple[str, Any], ...]
-    stats: Tuple[Tuple[str, Any], ...]
+    """The worker session's :class:`~repro.scenarios.engine.CacheInfo`
+    and :class:`~repro.query.session.SessionStats`."""
+
+    cache_info: Any
+    stats: Any
 
 
 @dataclass(frozen=True)

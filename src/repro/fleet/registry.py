@@ -27,7 +27,7 @@ import pickle
 import warnings
 from multiprocessing.connection import Connection
 from multiprocessing.process import BaseProcess
-from typing import Dict, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Mapping, Optional, Tuple
 
 from repro import obs as _obs
 from repro.exceptions import FleetError
@@ -39,10 +39,9 @@ from repro.fleet.protocol import (
     ReportRequest,
     Request,
     ShutdownRequest,
-    TenantSpec,
     raise_reply,
 )
-from repro.fleet.worker import build_sessions, serve_request, worker_main
+from repro.fleet.worker import build_session, serve_request, worker_main
 from repro.query.session import Session
 
 __all__ = ["WorkerRegistry"]
@@ -75,11 +74,11 @@ class WorkerRegistry:
 
     Parameters
     ----------
-    tenants:
-        The :class:`~repro.fleet.protocol.TenantSpec` set every worker
-        hosts.  Every worker hosts *all* tenants (full replication):
-        routing then only has to pick a worker, never match tenant to
-        worker, and any worker can absorb any shard when a peer dies.
+    init:
+        The :class:`~repro.fleet.protocol.InitRequest` every worker
+        builds its session from.  Every worker serves the same graph
+        (full replication): routing then only has to pick a worker,
+        and any worker can absorb any shard when a peer dies.
     workers:
         Fleet size (>= 1).  Worker names are ``"w0" .. "w{N-1}"``.
     start_method:
@@ -88,23 +87,18 @@ class WorkerRegistry:
         protocol is spawn-safe by contract either way.
     """
 
-    def __init__(self, tenants: Sequence[TenantSpec], *,
+    def __init__(self, init: InitRequest, *,
                  workers: int = 2,
                  start_method: Optional[str] = None) -> None:
         if workers < 1:
             raise FleetError(f"a fleet needs at least one worker, "
                              f"got workers={workers}")
-        if not tenants:
-            raise FleetError("a fleet needs at least one tenant")
-        names = [spec.name for spec in tenants]
-        if len(set(names)) != len(names):
-            raise FleetError(f"duplicate tenant names: {sorted(names)}")
-        self.tenants: Tuple[TenantSpec, ...] = tuple(tenants)
+        self.init = init
         self._ctx = multiprocessing.get_context(start_method)
         self._handles: Dict[str, _WorkerHandle] = {
             f"w{i}": _WorkerHandle(f"w{i}") for i in range(workers)
         }
-        self._serial_sessions: Optional[Dict[str, Session]] = None
+        self._serial_session: Optional[Session] = None
         self._started = False
         self._closed = False
         self.respawns = 0
@@ -126,16 +120,15 @@ class WorkerRegistry:
         """Start (once) every worker and wait for their ready replies.
 
         Init messages go out to all workers before any reply is
-        awaited, so graph construction and warm-start traversals run
-        in the workers concurrently.
+        awaited, so graph construction runs in the workers
+        concurrently.
         """
         if self._started:
             return
         if self._closed:
             raise FleetError("registry is closed")
-        init = InitRequest(tenants=self.tenants)
         for handle in self._handles.values():
-            self._launch(handle, init)
+            self._launch(handle, self.init)
         for handle in self._handles.values():
             self._confirm_ready(handle)
         self._started = True
@@ -158,8 +151,8 @@ class WorkerRegistry:
             raw = handle.conn.recv()
         except _CHANNEL_ERRORS as exc:
             # A worker that cannot even init is a deployment problem
-            # (unimportable __main__ under spawn, unpicklable tenant
-            # graph, resource limits) — respawning would loop, so it
+            # (unimportable __main__ under spawn, unpicklable graph,
+            # resource limits) — respawning would loop, so it
             # raises instead of degrading.
             raise FleetError(
                 f"worker {handle.name} died during init "
@@ -183,7 +176,7 @@ class WorkerRegistry:
             RuntimeWarning, stacklevel=4,
         )
         self._reap(handle)
-        self._launch(handle, InitRequest(tenants=self.tenants))
+        self._launch(handle, self.init)
         self._confirm_ready(handle)
 
     def _reap(self, handle: _WorkerHandle) -> None:
@@ -231,7 +224,7 @@ class WorkerRegistry:
     # reports
     # ------------------------------------------------------------------
     def reports(self) -> Dict[str, ReportReply]:
-        """Fresh per-tenant cache/stats snapshots from every worker."""
+        """Fresh cache/stats snapshots from every worker."""
         replies = self.dispatch(
             {name: ReportRequest() for name in self._handles}
         )
@@ -317,11 +310,11 @@ class WorkerRegistry:
         )
         return serve_request("serial", self._serial(), request)
 
-    def _serial(self) -> Dict[str, Session]:
-        """The lazily built in-process fallback sessions."""
-        if self._serial_sessions is None:
-            self._serial_sessions = build_sessions(self.tenants)
-        return self._serial_sessions
+    def _serial(self) -> Session:
+        """The lazily built in-process fallback session."""
+        if self._serial_session is None:
+            self._serial_session = build_session(self.init)
+        return self._serial_session
 
     def _handle(self, worker: str) -> _WorkerHandle:
         try:

@@ -1,8 +1,8 @@
 """Shard a query stream across fleet workers, cache-affinely.
 
 The router is the fleet's one routing decision point:
-:class:`~repro.fleet.session.FleetSession` hands every tenant stream
-and the registry's workers to :meth:`Router.shard`, and nothing else
+:class:`~repro.fleet.session.FleetSession` hands every stream and
+the registry's workers to :meth:`Router.shard`, and nothing else
 picks a worker.  Routing decides how much of the engine's wave
 sharing survives sharding, so the rule is built around the planner's
 grouping key and chosen per batch:

@@ -6,50 +6,36 @@ it speaks the exact submit/gather/answer/answer_async dialect of the
 in-process :class:`~repro.query.session.Session`; its transport seam
 shards each stream with the :class:`~repro.fleet.router.Router` over
 the workers of a :class:`~repro.fleet.registry.WorkerRegistry` and
-executes the shards in parallel processes, each holding warm
-per-tenant engines.  The router is the only code that picks a worker:
-reading reports never narrows the set it shards over.  Reports merge:
-:meth:`cache_info` folds every worker's
+executes the shards in parallel processes, each holding one warm
+engine over the fleet's graph.  The router is the only code that
+picks a worker: reading reports never narrows the set it shards over.
+Reports merge: :meth:`cache_info` folds every worker's
 :class:`~repro.scenarios.engine.CacheInfo` with
 :meth:`~repro.scenarios.engine.CacheInfo.merge`, and :attr:`stats`
 folds per-worker :class:`~repro.query.session.SessionStats` with
 :meth:`~repro.query.session.SessionStats.merge` — so the fleet reads
 like one big session whose cache is the sum of its workers' budgets.
-
-Multi-tenancy: pass ``graphs={"name": graph, ...}`` (optionally with
-per-tenant ``budgets``) instead of a single ``graph``; every worker
-hosts every tenant with its own eviction budget, and ``tenant=``
-selects whose stream a call answers (default: the sole tenant).
 """
 
 from __future__ import annotations
 
 import threading
-from typing import (
-    Any,
-    Dict,
-    List,
-    Mapping,
-    Optional,
-    Sequence,
-    Tuple,
-    Union,
-)
+from typing import Any, Dict, List, Optional
 
 from repro import obs as _obs
-from repro.exceptions import FleetError, ReproError
+from repro.exceptions import FleetError
 from repro.fleet.protocol import (
     ErrorReply,
     ExecuteReply,
     ExecuteRequest,
+    InitRequest,
     ReportReply,
-    TenantSpec,
     raise_reply,
 )
 from repro.fleet.registry import WorkerRegistry
 from repro.fleet.router import Router
 from repro.query.queries import Answer, Query
-from repro.query.session import DEFAULT_TENANT, SessionDialect, SessionStats
+from repro.query.session import Session, SessionDialect, SessionStats
 from repro.scenarios.engine import CacheInfo
 
 __all__ = ["FleetSession"]
@@ -61,30 +47,19 @@ class FleetSession(SessionDialect):
     Parameters
     ----------
     graph:
-        Single-tenant convenience: the base graph, hosted under the
-        tenant name ``"default"``.  Mutually exclusive with ``graphs``.
-    graphs:
-        Multi-tenant form: ``{tenant_name: graph}``.
-    budgets:
-        Per-tenant LRU budget overrides, ``{tenant_name: entries}``;
-        tenants not listed get ``memoize``.
+        The base graph every worker serves.
     workers:
         Fleet size (>= 1); ``workers=1`` is a valid degenerate fleet
         (one warm process, no sharding) useful for A/B runs.
     scheme:
-        Default tiebreaking scheme, applied to every tenant
-        (single-tenant form only — multi-tenant fleets set schemes
-        per tenant via restoration-free streams or per-call
-        ``scheme=``, which is pickled and shipped with the shard).
+        Default tiebreaking scheme (overridable per call; a per-call
+        ``scheme=`` is pickled and shipped with the shard).
     memoize, delta:
-        Engine construction knobs, per worker per tenant (see
+        Engine construction knobs, per worker (see
         :class:`~repro.scenarios.engine.ScenarioEngine`).
     start_method:
         ``multiprocessing`` start method for the workers (``None`` =
         platform default, ``"spawn"`` exercises the full pickle seam).
-    warm_sources:
-        Base-vector origins each worker computes at init: a sequence
-        (applied to every tenant) or ``{tenant_name: sequence}``.
 
     Example
     -------
@@ -97,81 +72,30 @@ class FleetSession(SessionDialect):
     [6]
     """
 
-    def __init__(self, graph: Any = None, *,
-                 graphs: Optional[Mapping[str, Any]] = None,
-                 budgets: Optional[Mapping[str, int]] = None,
+    def __init__(self, graph: Any, *,
                  workers: int = 2,
                  scheme: Any = None,
                  memoize: int = 4096,
                  delta: bool = True,
-                 start_method: Optional[str] = None,
-                 warm_sources: Union[Sequence[int],
-                                     Mapping[str, Sequence[int]]] = ()
-                 ) -> None:
-        if (graph is None) == (graphs is None):
-            raise FleetError(
-                "FleetSession takes a graph or graphs={...}, "
-                "exactly one of the two"
-            )
-        if graphs is None:
-            graphs = {DEFAULT_TENANT: graph}
-        budgets = dict(budgets or {})
-        unknown = set(budgets) - set(graphs)
-        if unknown:
-            raise FleetError(
-                f"budgets name tenants that have no graph: "
-                f"{sorted(unknown)}"
-            )
-        specs: List[TenantSpec] = []
-        self._routers: Dict[str, Router] = {}
-        self._graphs: Dict[str, Any] = dict(graphs)
-        for name, tenant_graph in graphs.items():
-            if isinstance(warm_sources, Mapping):
-                warm: Tuple[int, ...] = tuple(
-                    warm_sources.get(name, ()))
-            else:
-                warm = tuple(warm_sources)
-            specs.append(TenantSpec(
-                name=name, graph=tenant_graph,
-                memoize=budgets.get(name, memoize), delta=delta,
-                scheme=scheme, warm_sources=warm,
-            ))
-            self._routers[name] = Router(
-                n=int(getattr(tenant_graph, "n", 0) or 0))
+                 start_method: Optional[str] = None) -> None:
         super().__init__(scheme)
-        self.tenants = tuple(self._graphs)
-        self.registry = WorkerRegistry(specs, workers=workers,
-                                       start_method=start_method)
+        self.graph = graph
+        self._router = Router(n=int(getattr(graph, "n", 0) or 0))
+        self.registry = WorkerRegistry(
+            InitRequest(graph=graph, memoize=memoize, delta=delta,
+                        scheme=scheme),
+            workers=workers, start_method=start_method)
         self._gathers = 0
         # Executes serialize on this lock: answer_async runs on the
         # session's worker thread, and the registry's pipes are not
         # thread-safe.
         self._gather_lock = threading.Lock()
 
-    @property
-    def graph(self) -> Any:
-        """The sole tenant's graph (single-tenant convenience);
-        multi-tenant fleets raise — name the tenant via
-        :meth:`tenant_graph`."""
-        if len(self._graphs) != 1:
-            raise FleetError(
-                f"fleet hosts {len(self._graphs)} tenants "
-                f"({sorted(self._graphs)}); use tenant_graph(name)"
-            )
-        return next(iter(self._graphs.values()))
-
-    def tenant_graph(self, tenant: str) -> Any:
-        return self._graphs[self._tenant(tenant)]
-
-    def _tenant_error(self, message: str) -> ReproError:
-        return FleetError(message)
-
     # ------------------------------------------------------------------
     # the transport seam
     # ------------------------------------------------------------------
-    def _execute(self, queries: List[Query], scheme: Any,
-                 tenant: str) -> List[Answer]:
-        """Shard one tenant's stream over the workers; answers in order.
+    def _execute(self, queries: List[Query], scheme: Any) -> List[Answer]:
+        """Shard one stream over the workers; answers in order.
 
         Workers re-validate their own shards (unknown vertices, bad
         schemes).  Every shard's reply is collected — its spans
@@ -184,8 +108,8 @@ class FleetSession(SessionDialect):
         with self._gather_lock:
             with _obs.span("fleet.gather", queries=len(queries)):
                 self.registry.start()
-                shards = self._routers[tenant].shard(
-                    queries, self.registry.workers)
+                shards = self._router.shard(queries,
+                                            self.registry.workers)
                 # When tracing, every shard request carries the
                 # caller's current context so worker-side spans
                 # (worker.execute and the engine waves under it)
@@ -196,7 +120,6 @@ class FleetSession(SessionDialect):
                     trace = ctx.to_dict() if ctx is not None else None
                 replies = self.registry.dispatch({
                     worker: ExecuteRequest(
-                        tenant=tenant,
                         queries=tuple(queries[i] for i in local),
                         scheme=scheme,
                         trace=trace,
@@ -220,8 +143,7 @@ class FleetSession(SessionDialect):
                         answers[i] = answer
                     if _obs.ENABLED:
                         _obs.observe("repro_fleet_shard_size",
-                                     float(len(local)), worker=worker,
-                                     tenant=tenant)
+                                     float(len(local)), worker=worker)
             self._gathers += 1
             if first_error is not None:
                 raise_reply(first_error)
@@ -231,21 +153,17 @@ class FleetSession(SessionDialect):
     # merged reports
     # ------------------------------------------------------------------
     def worker_reports(self) -> Dict[str, ReportReply]:
-        """Fresh per-worker report replies (per-tenant
-        :class:`CacheInfo` and :class:`SessionStats`)."""
+        """Fresh per-worker report replies (:class:`CacheInfo` and
+        :class:`SessionStats`)."""
         with self._gather_lock:
             return self.registry.reports()
 
     def cache_info(self) -> CacheInfo:
         """All workers' engine counters, folded with
-        :meth:`CacheInfo.merge` — plus the serial-fallback sessions'
+        :meth:`CacheInfo.merge` — plus the serial-fallback session's
         counters when the fleet has degraded."""
-        infos: List[CacheInfo] = []
-        for report in self.worker_reports().values():
-            infos.extend(info for _, info in report.cache_infos)
-        infos.extend(
-            s.cache_info() for s in self._fallback_sessions()
-        )
+        infos = [r.cache_info for r in self.worker_reports().values()]
+        infos.extend(s.cache_info() for s in self._fallback_sessions())
         return CacheInfo.merge(infos)
 
     @property
@@ -253,23 +171,21 @@ class FleetSession(SessionDialect):
         """All workers' session stats, folded with
         :meth:`SessionStats.merge`; ``by_worker`` shows the shard
         balance (including ``"serial"`` when the fleet has degraded)."""
-        stats: List[SessionStats] = []
-        for report in self.worker_reports().values():
-            stats.extend(st for _, st in report.stats)
+        stats = [r.stats for r in self.worker_reports().values()]
         stats.extend(s.stats for s in self._fallback_sessions())
         return SessionStats.merge(stats)
 
-    def _fallback_sessions(self) -> List[Any]:
-        serial = self.registry._serial_sessions
-        return list(serial.values()) if serial else []
+    def _fallback_sessions(self) -> List[Session]:
+        serial = self.registry._serial_session
+        return [serial] if serial is not None else []
 
     # ------------------------------------------------------------------
     # lifecycle
     # ------------------------------------------------------------------
     @property
     def gathers(self) -> int:
-        """Fleet-level count of executed streams (one per tenant per
-        gather, each spanning all its shards)."""
+        """Fleet-level count of executed streams (one per non-empty
+        gather or answer, each spanning all its shards)."""
         return self._gathers
 
     def close(self) -> None:
@@ -280,7 +196,7 @@ class FleetSession(SessionDialect):
 
     def __repr__(self) -> str:
         return (
-            f"FleetSession(tenants={list(self._graphs)}, "
+            f"FleetSession(n={self._router.n}, "
             f"workers={len(self.registry.workers)}, "
             f"gathers={self._gathers}, pending={len(self._pending)})"
         )

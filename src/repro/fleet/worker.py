@@ -1,27 +1,26 @@
-"""The fleet worker: one process, one warm session per tenant.
+"""The fleet worker: one process, one warm session.
 
 A worker is a long-lived child process running :func:`worker_main` —
-it builds one :class:`~repro.query.session.Session` per
-:class:`~repro.fleet.protocol.TenantSpec` at init (paying graph CSR
-construction and warm-start base vectors exactly once) and then
-serves requests off its pipe until shutdown.  Keeping the process
-alive across requests is the whole point: the engines' LRU memos
-survive between shards, so the fleet's aggregate cache is the *sum*
-of the workers' budgets — the resource-pooling idiom the fleet exists
-for.
+it builds one :class:`~repro.query.session.Session` from its
+:class:`~repro.fleet.protocol.InitRequest` (paying graph CSR
+construction exactly once) and then serves requests off its pipe
+until shutdown.  Keeping the process alive across requests is the
+whole point: each engine's LRU survives between shards, so the
+fleet's aggregate cache is the *sum* of the workers' budgets — the
+resource-pooling idiom the fleet exists for.
 
 The request dispatch itself lives in :func:`serve_request`, a plain
-function over a ``{tenant: Session}`` dict with no process machinery
-in it.  The registry's in-process serial fallback calls the very same
-function, so a degraded fleet answers with identical semantics (and
-identical ``worker``-stamped provenance) to a healthy one.
+function over one ``Session`` with no process machinery in it.  The
+registry's in-process serial fallback calls the very same function,
+so a degraded fleet answers with identical semantics (and identical
+``worker``-stamped provenance) to a healthy one.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import traceback
-from typing import Any, Dict, List, Tuple
+from typing import Any, List, Optional, Tuple
 
 from repro import obs as _obs
 from repro.fleet.protocol import (
@@ -36,31 +35,17 @@ from repro.fleet.protocol import (
     ReportRequest,
     Request,
     ShutdownRequest,
-    TenantSpec,
 )
 from repro.query.queries import Answer
 from repro.query.session import Session
 
-__all__ = ["build_sessions", "serve_request", "worker_main"]
+__all__ = ["build_session", "serve_request", "worker_main"]
 
 
-def build_sessions(tenants: Tuple[TenantSpec, ...]
-                   ) -> Dict[str, Session]:
-    """Build one warm session per tenant spec.
-
-    Each tenant gets its own engine with its own ``memoize`` budget —
-    per-tenant eviction isolation — and its ``warm_sources`` base
-    vectors are computed eagerly so the first real query finds them
-    cached.
-    """
-    sessions: Dict[str, Session] = {}
-    for spec in tenants:
-        session = Session(spec.graph, scheme=spec.scheme,
-                          memoize=spec.memoize, delta=spec.delta)
-        for source in spec.warm_sources:
-            session.engine.base_distances(source)
-        sessions[spec.name] = session
-    return sessions
+def build_session(init: InitRequest) -> Session:
+    """The session a worker (or the serial fallback) serves."""
+    return Session(init.graph, scheme=init.scheme,
+                   memoize=init.memoize, delta=init.delta)
 
 
 def _stamp(answers: List[Answer], worker: str) -> Tuple[Answer, ...]:
@@ -73,7 +58,7 @@ def _stamp(answers: List[Answer], worker: str) -> Tuple[Answer, ...]:
     )
 
 
-def _serve_execute(worker: str, sessions: Dict[str, Session],
+def _serve_execute(worker: str, session: Session,
                    request: ExecuteRequest) -> ExecuteReply:
     """Answer one shard, tracing it when the request carries a context.
 
@@ -88,10 +73,8 @@ def _serve_execute(worker: str, sessions: Dict[str, Session],
     traced = ctx is not None
     if traced and not _obs.ENABLED:
         _obs.enable()
-    session = sessions[request.tenant]
     with _obs.activate(ctx):
         with _obs.span("worker.execute", worker=worker,
-                       tenant=request.tenant,
                        queries=len(request.queries)):
             answers = session.answer(list(request.queries),
                                      scheme=request.scheme)
@@ -103,41 +86,31 @@ def _serve_execute(worker: str, sessions: Dict[str, Session],
             session.stats.by_worker.get(worker, 0) + len(answers))
     if _obs.ENABLED:
         _obs.inc("repro_worker_answers_total", len(answers),
-                 worker=worker, tenant=request.tenant)
+                 worker=worker)
     spans: Tuple[Any, ...] = (
         tuple(_obs.take_spans()) if traced else ())
     return ExecuteReply(worker=worker, answers=_stamp(answers, worker),
                         spans=spans)
 
 
-def serve_request(worker: str, sessions: Dict[str, Session],
+def serve_request(worker: str, session: Session,
                   request: Request) -> Reply:
-    """Serve one request against the tenant sessions (pure dispatch).
+    """Serve one request against the session (pure dispatch).
 
     Raises whatever the underlying session raises —
     :func:`worker_main` flattens exceptions into
     :class:`~repro.fleet.protocol.ErrorReply` at the process boundary,
     while the registry's serial fallback lets them propagate directly
-    (it *is* the parent process).  An unknown tenant raises
-    :class:`~repro.exceptions.FleetError` by way of the caller-side
-    validation in :class:`~repro.fleet.session.FleetSession`, so here
-    it is an invariant violation and raised as ``KeyError``.
+    (it *is* the parent process).
     """
     if isinstance(request, ShutdownRequest):
         return PongReply(worker=worker)
     if isinstance(request, ReportRequest):
-        return ReportReply(
-            worker=worker,
-            cache_infos=tuple(
-                (name, s.cache_info())
-                for name, s in sorted(sessions.items())
-            ),
-            stats=tuple(
-                (name, s.stats) for name, s in sorted(sessions.items())
-            ),
-        )
+        return ReportReply(worker=worker,
+                           cache_info=session.cache_info(),
+                           stats=session.stats)
     if isinstance(request, ExecuteRequest):
-        return _serve_execute(worker, sessions, request)
+        return _serve_execute(worker, session, request)
     raise TypeError(f"unhandled fleet request: {request!r}")
 
 
@@ -154,7 +127,7 @@ def worker_main(worker: str, conn: Any) -> None:
     :class:`~repro.fleet.protocol.ShutdownRequest` (after replying) or
     a closed pipe.
     """
-    sessions: Dict[str, Session] = {}
+    session: Optional[Session] = None
     try:
         while True:
             try:
@@ -163,12 +136,11 @@ def worker_main(worker: str, conn: Any) -> None:
                 break
             try:
                 if isinstance(request, InitRequest):
-                    sessions = build_sessions(request.tenants)
-                    reply: Reply = ReadyReply(
-                        worker=worker, tenants=tuple(sorted(sessions))
-                    )
+                    session = build_session(request)
+                    reply: Reply = ReadyReply(worker=worker)
                 else:
-                    reply = serve_request(worker, sessions, request)
+                    assert session is not None, "init comes first"
+                    reply = serve_request(worker, session, request)
             except BaseException as exc:  # noqa: BLE001 — boundary
                 reply = ErrorReply(worker=worker,
                                    exc_type=type(exc).__name__,

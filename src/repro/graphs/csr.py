@@ -273,7 +273,7 @@ class CSRGraph:
     def __getstate__(self) -> Tuple[Any, ...]:
         # The ndarray mirror is dropped: ndarrays don't belong on the
         # multiprocessing pickle boundary (a Graph's cached _csr slot
-        # travels with TenantSpec.graph in the fleet's InitRequest)
+        # travels with the fleet's InitRequest.graph)
         # and are rebuilt lazily on demand.
         return (self._n, self.indptr, self.indices, self._arc_pos,
                 self.weights)

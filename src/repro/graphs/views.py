@@ -13,7 +13,7 @@ chained views never stack indirection.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, List, Protocol, Tuple, runtime_checkable
+from typing import Iterable, Iterator, List, Protocol, runtime_checkable
 
 from repro.graphs.base import Edge, Graph, canonical_edge
 

@@ -19,7 +19,7 @@ the query path never touches the original graph.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.exceptions import LabelingError
 from repro.graphs.base import Edge, Graph, canonical_edge

@@ -19,11 +19,11 @@ Theorem 26 says the general overlay has
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import FrozenSet, Iterable, List, Optional, Set, Tuple
 
 from repro.exceptions import GraphError
-from repro.graphs.base import Edge, Graph, canonical_edge
+from repro.graphs.base import Edge, Graph
 
 
 @dataclass

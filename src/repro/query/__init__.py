@@ -75,7 +75,7 @@ Entry points
 The same dialect (:class:`SessionDialect`) is spoken by the sharded
 :class:`~repro.fleet.session.FleetSession` and the socket
 :class:`~repro.service.client.ServiceClient`; each implements only the
-one transport seam, ``_execute(queries, scheme, tenant)``.
+one transport seam, ``_execute(queries, scheme)``.
 
 ``examples/query_session.py`` is the guided tour;
 ``benchmarks/bench_query_planner.py`` measures the planner's grouped

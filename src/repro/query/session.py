@@ -14,8 +14,8 @@ of asking the declarative API a question speaks it:
   session's private worker thread, keeping the loop responsive).
 
 The dialect is implemented once, here, over a single transport seam,
-``_execute(queries, scheme, tenant) -> answers`` (the shape of the
-service coalescer's ``AnswerFn``).  A transport implements only that
+``_execute(queries, scheme) -> answers`` (the shape of the service
+coalescer's ``AnswerFn``).  A transport implements only that
 seam, ``cache_info`` and its own extras:
 
 * :class:`Session` — plan and execute in process;
@@ -34,19 +34,15 @@ import functools
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import (Any, Dict, Iterable, Iterator, List, Optional, Tuple,
-                    TypeVar)
+from typing import Any, Dict, Iterable, List, Optional, TypeVar
 
 from repro import obs as _obs
-from repro.exceptions import GraphError, QueryError, ReproError
+from repro.exceptions import GraphError, QueryError
 from repro.query.planner import Plan, Planner
 from repro.query.queries import Answer, Query, check_stream
 from repro.scenarios.engine import CacheInfo, ScenarioEngine
 
-__all__ = ["DEFAULT_TENANT", "Session", "SessionDialect", "SessionStats"]
-
-#: The tenant name a single-graph backend answers for.
-DEFAULT_TENANT = "default"
+__all__ = ["Session", "SessionDialect", "SessionStats"]
 
 _S = TypeVar("_S", bound="SessionDialect")
 
@@ -141,22 +137,14 @@ class SessionStats:
 class SessionDialect(abc.ABC):
     """The submit/gather/answer dialect, over one transport seam.
 
-    A transport sets :attr:`tenants` and implements :meth:`_execute`
-    and :meth:`cache_info`; staging, per-tenant grouping, the stream
-    check, the async executor and the lifecycle live here, once.
-
-    Every answering method takes ``tenant=``: ``None`` selects the
-    sole tenant, and an unknown name — or no name when several
-    tenants are hosted — raises the transport's typed
-    :meth:`_tenant_error` before anything is queued or sent.
+    A transport implements :meth:`_execute` and :meth:`cache_info`;
+    staging, the stream check, the async executor and the lifecycle
+    live here, once.
     """
-
-    #: The tenant names this transport answers for.
-    tenants: Tuple[str, ...]
 
     def __init__(self, scheme: Any = None) -> None:
         self.scheme = scheme
-        self._pending: List[Tuple[str, Query]] = []
+        self._pending: List[Query] = []
         # Lazily created single-thread executor for answer_async.
         # Every transport serializes its calls anyway, so one worker
         # thread is the whole truth of a session's concurrency: N
@@ -171,32 +159,25 @@ class SessionDialect(abc.ABC):
     # the transport seam
     # ------------------------------------------------------------------
     @abc.abstractmethod
-    def _execute(self, queries: List[Query], scheme: Any,
-                 tenant: str) -> List[Answer]:
-        """Answer one checked stream of one tenant, in order.
+    def _execute(self, queries: List[Query], scheme: Any) -> List[Answer]:
+        """Answer one checked stream, in order.
 
-        ``scheme`` is the caller's (``None`` when not given);
-        ``tenant`` is one of :attr:`tenants`.
+        ``scheme`` is the caller's (``None`` when not given).
         """
 
     @abc.abstractmethod
     def cache_info(self) -> CacheInfo:
         """The serving engines' cache counters (frozen snapshot)."""
 
-    def _tenant_error(self, message: str) -> ReproError:
-        """The typed error an unknown or missing ``tenant=`` raises."""
-        return QueryError(message)
-
     # ------------------------------------------------------------------
     # the dialect
     # ------------------------------------------------------------------
     @property
     def pending(self) -> int:
-        """Queries submitted but not yet gathered (all tenants)."""
+        """Queries submitted but not yet gathered."""
         return len(self._pending)
 
-    def submit(self: _S, *queries: Any,
-               tenant: Optional[str] = None) -> _S:
+    def submit(self: _S, *queries: Any) -> _S:
         """Queue queries (each argument a :class:`Query` or an iterable
         of them) for the next :meth:`gather`.  Returns ``self`` so
         submits chain.
@@ -205,7 +186,6 @@ class SessionDialect(abc.ABC):
         touched, so an iterable that raises mid-way leaves nothing
         half-submitted for the next gather to mis-answer.
         """
-        name = self._tenant(tenant)
         staged: List[Query] = []
         for q in queries:
             if isinstance(q, Query):
@@ -222,51 +202,34 @@ class SessionDialect(abc.ABC):
             # generator body) propagate unchanged — they are the
             # caller's bug, not a submit() usage error.
             staged.extend(items)
-        self._pending.extend((name, q) for q in staged)
+        self._pending.extend(staged)
         return self
 
     def gather(self, scheme: Any = None) -> List[Answer]:
-        """Answer everything queued, in submission order.
+        """Answer everything queued as one stream, in submission order.
 
         The queue is drained even when a query fails, so one malformed
-        stream cannot poison the next gather.  Each tenant's queries
-        are one stream; a failing tenant does not stop the others from
-        being served before its error is raised.
+        stream cannot poison the next gather.  An empty queue calls no
+        transport.
         """
         batch, self._pending = self._pending, []
-        streams: Dict[str, List[Query]] = {}
-        for name, q in batch:
-            streams.setdefault(name, []).append(q)
-        for stream in streams.values():
-            check_stream(stream)
-        served: Dict[str, Iterator[Answer]] = {}
-        failure: Optional[ReproError] = None
-        for name, stream in streams.items():
-            try:
-                served[name] = iter(self._execute(stream, scheme, name))
-            except ReproError as exc:
-                if failure is None:
-                    failure = exc
-        if failure is not None:
-            raise failure
-        return [next(served[name]) for name, _ in batch]
+        if not batch:
+            return []
+        return self.answer(batch, scheme)
 
-    def answer(self, queries: Iterable[Query], scheme: Any = None, *,
-               tenant: Optional[str] = None) -> List[Answer]:
+    def answer(self, queries: Iterable[Query],
+               scheme: Any = None) -> List[Answer]:
         """One-shot: answer ``queries`` (the queue is untouched)."""
-        name = self._tenant(tenant)
         stream = list(queries)
         check_stream(stream)
-        return self._execute(stream, scheme, name)
+        return self._execute(stream, scheme)
 
-    def answer_one(self, query: Query, scheme: Any = None, *,
-                   tenant: Optional[str] = None) -> Answer:
+    def answer_one(self, query: Query, scheme: Any = None) -> Answer:
         """Convenience: answer a single query."""
-        return self.answer([query], scheme, tenant=tenant)[0]
+        return self.answer([query], scheme)[0]
 
     async def answer_async(self, queries: Iterable[Query],
-                           scheme: Any = None, *,
-                           tenant: Optional[str] = None) -> List[Answer]:
+                           scheme: Any = None) -> List[Answer]:
         """Awaitable :meth:`answer` for asyncio consumers.
 
         The call runs on the session's own single worker thread
@@ -280,8 +243,7 @@ class SessionDialect(abc.ABC):
         loop = asyncio.get_running_loop()
         return await loop.run_in_executor(
             self._executor(),
-            functools.partial(self.answer, list(queries), scheme,
-                              tenant=tenant),
+            functools.partial(self.answer, list(queries), scheme),
         )
 
     def _executor(self) -> ThreadPoolExecutor:
@@ -312,22 +274,6 @@ class SessionDialect(abc.ABC):
 
     def __exit__(self, *exc_info: object) -> None:
         self.close()
-
-    def _tenant(self, tenant: Optional[str]) -> str:
-        tenants = self.tenants
-        if tenant is None:
-            if len(tenants) == 1:
-                return tenants[0]
-            raise self._tenant_error(
-                f"{len(tenants)} tenants are hosted "
-                f"({sorted(tenants)}); pass tenant=..."
-            )
-        if tenant not in tenants:
-            raise self._tenant_error(
-                f"unknown tenant {tenant!r}; hosted tenants are "
-                f"{sorted(tenants)}"
-            )
-        return tenant
 
 
 class Session(SessionDialect):
@@ -362,8 +308,6 @@ class Session(SessionDialect):
     >>> [a.value for a in session.submit(query).gather()]  # submit chains
     [6]
     """
-
-    tenants: Tuple[str, ...] = (DEFAULT_TENANT,)
 
     def __init__(self, graph=None, *, engine: Optional[ScenarioEngine] = None,
                  scheme=None, memoize: int = 4096, delta: bool = True):
@@ -422,8 +366,7 @@ class Session(SessionDialect):
     def graph(self):
         return self.engine.graph
 
-    def _execute(self, queries: List[Query], scheme: Any,
-                 tenant: str) -> List[Answer]:
+    def _execute(self, queries: List[Query], scheme: Any) -> List[Answer]:
         plan = self.planner.plan(queries)
         with self._gather_lock:
             answers = self.planner.execute(

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List, Tuple
 
-from repro.graphs.base import Edge, canonical_edge
+from repro.graphs.base import Edge
 from repro.spt.bfs import bfs_distances, bfs_tree
 from repro.spt.paths import Path
 

@@ -23,7 +23,7 @@ tree unions Algorithm 1 feeds it, that is the same Õ(n) shape per pair.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.exceptions import GraphError
 from repro.graphs.base import Edge, canonical_edge

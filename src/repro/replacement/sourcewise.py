@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from typing import Dict, Optional, Tuple
 
-from repro.graphs.base import Edge, Graph, canonical_edge
+from repro.graphs.base import Edge, Graph
 from repro.core.scheme import RestorableTiebreaking
 from repro.oracles.dso import SourcewiseDSO
 

@@ -32,7 +32,7 @@ import threading
 from typing import Any, Dict, List, Optional
 
 from repro import obs as _obs
-from repro.exceptions import ReproError, ServiceError
+from repro.exceptions import ServiceError
 from repro.query.queries import Answer, Query
 from repro.query.session import SessionDialect, SessionStats
 from repro.scenarios.engine import CacheInfo
@@ -58,9 +58,6 @@ class ServiceClient(SessionDialect):
     timeout:
         Socket timeout in seconds (``None`` = block forever; waves on
         big graphs can be slow, so the default is patient).
-
-    The server's tenants arrive in the handshake (:attr:`tenants`);
-    calls name theirs with ``tenant=``, like a fleet's.
     """
 
     def __init__(self, host: str, port: int, *,
@@ -94,7 +91,6 @@ class ServiceClient(SessionDialect):
             self._sock = None
             protocol.raise_error_reply(welcome)
         self.server = str(welcome.get("server", ""))
-        self.tenants = tuple(welcome.get("tenants", ()))
         self.limits: Dict[str, int] = dict(welcome.get("limits", {}))
         self.max_frame = int(
             self.limits.get("max_frame", protocol.DEFAULT_MAX_FRAME))
@@ -102,14 +98,12 @@ class ServiceClient(SessionDialect):
     # ------------------------------------------------------------------
     # the transport seam
     # ------------------------------------------------------------------
-    def _execute(self, queries: List[Query], scheme: Any,
-                 tenant: str) -> List[Answer]:
+    def _execute(self, queries: List[Query], scheme: Any) -> List[Answer]:
         message: Message = {
             "type": "answer",
             "id": next(self._ids),
             "queries": queries,
             "scheme": scheme if scheme is not None else self.scheme,
-            "tenant": tenant,
         }
         # When tracing, the request rides under a client-side root
         # span whose context crosses the wire in the "trace" slot —
@@ -122,9 +116,6 @@ class ServiceClient(SessionDialect):
         answers = list(reply["answers"])
         self.stats.record_answers(answers)
         return answers
-
-    def _tenant_error(self, message: str) -> ReproError:
-        return ServiceError(message, code="tenant")
 
     # ------------------------------------------------------------------
     # service extras

@@ -39,9 +39,9 @@ from __future__ import annotations
 
 import asyncio
 import pickle
-from collections import Counter, OrderedDict
+from collections import Counter
 from dataclasses import dataclass, field, replace
-from typing import Any, Callable, Dict, List, Optional, Tuple, Union
+from typing import Any, Callable, Dict, List, Optional, Union
 
 from repro import obs as _obs
 from repro.exceptions import ReproError
@@ -50,10 +50,9 @@ from repro.query.queries import Answer, Query
 
 __all__ = ["Coalescer", "Ticket"]
 
-#: A blocking backend call: (queries, scheme, tenant) -> answers.  It
-#: runs on the event loop's thread, which serves nothing else until it
-#: returns.
-AnswerFn = Callable[[List[Query], Any, str], List[Answer]]
+#: A blocking backend call: (queries, scheme) -> answers.  It runs on
+#: the event loop's thread, which serves nothing else until it returns.
+AnswerFn = Callable[[List[Query], Any], List[Answer]]
 
 #: A ticket's reply: called with its answers or with the exception
 #: that failed it.
@@ -77,7 +76,6 @@ class Ticket:
 
     queries: List[Query]
     scheme: Any
-    tenant: str
     reply: ReplyFn = field(repr=False)
     trace: Any = None
 
@@ -104,11 +102,11 @@ class Coalescer:
     Parameters
     ----------
     answer_fn:
-        The blocking backend call ``(queries, scheme, tenant) ->
-        answers``.  It runs on the event loop's thread, one batch at
-        a time — the backend session serializes gathers anyway — so
-        the loop serves nothing else while a batch runs, and the
-        backend is never entered from two threads.
+        The blocking backend call ``(queries, scheme) -> answers``.
+        It runs on the event loop's thread, one batch at a time — the
+        backend session serializes gathers anyway — so the loop serves
+        nothing else while a batch runs, and the backend is never
+        entered from two threads.
     max_batch:
         Cap on one batch: flush as soon as the pending tickets hold
         this many queries (counting queries, not tickets — admission
@@ -179,24 +177,21 @@ class Coalescer:
     def _run_batch(self, batch: List[Ticket]) -> None:
         """Group one flushed batch, answer each group, demultiplex.
 
-        Groups split by ``(tenant, scheme)``: tenants answer over
-        different graphs, and two different schemes cannot share a
+        Groups split by scheme: two different schemes cannot share a
         restoration pass.  Scheme equality is byte equality of its
         pickle — the form it crossed the wire in — so two clients
         sending the same scheme coalesce.
         """
-        groups: "OrderedDict[Tuple[str, Optional[bytes]], List[Ticket]]"
-        groups = OrderedDict()
+        groups: Dict[Optional[bytes], List[Ticket]] = {}
         for ticket in batch:
             scheme_key = (None if ticket.scheme is None else
                           pickle.dumps(ticket.scheme,
                                        protocol=pickle.HIGHEST_PROTOCOL))
-            groups.setdefault((ticket.tenant, scheme_key),
-                              []).append(ticket)
-        for (tenant, _), tickets in groups.items():
-            self._run_group(tenant, tickets)
+            groups.setdefault(scheme_key, []).append(ticket)
+        for tickets in groups.values():
+            self._run_group(tickets)
 
-    def _run_group(self, tenant: str, tickets: List[Ticket]) -> None:
+    def _run_group(self, tickets: List[Ticket]) -> None:
         queries = [q for t in tickets for q in t.queries]
         scheme = tickets[0].scheme
         counts = _ticket_counts(tickets)
@@ -211,30 +206,28 @@ class Coalescer:
             wave_span = _obs.start_span(
                 "coalescer.wave",
                 parent=parents[0] if parents else None,
-                tenant=tenant, tickets=len(tickets),
+                tickets=len(tickets),
                 queries=len(queries),
                 traces=sorted({p.trace_id for p in parents}),
             )
             ctx = wave_span.context()
         try:
-            self._answer_group(tenant, tickets, queries, scheme, counts,
-                               ctx)
+            self._answer_group(tickets, queries, scheme, counts, ctx)
         finally:
             if wave_span is not None:
                 _obs.finish_span(wave_span)
 
-    def _answer_group(self, tenant: str, tickets: List[Ticket],
-                      queries: List[Query], scheme: Any,
-                      counts: "Counter[Any]",
+    def _answer_group(self, tickets: List[Ticket], queries: List[Query],
+                      scheme: Any, counts: "Counter[Any]",
                       ctx: Optional[TraceContext]) -> None:
         try:
-            answers = self._call(queries, scheme, tenant, ctx)
+            answers = self._call(queries, scheme, ctx)
         except Exception as exc:
             if isinstance(exc, ReproError) and len(tickets) > 1:
                 # A merged batch failed: isolate the guilty ticket(s)
                 # by re-answering each alone, so one client's
                 # malformed stream cannot fail its batch-mates.
-                self._retry_alone(tenant, tickets, ctx)
+                self._retry_alone(tickets, ctx)
                 return
             # A lone ticket's own error, or a backend bug.
             for ticket in tickets:
@@ -250,24 +243,23 @@ class Coalescer:
             cursor += len(ticket.queries)
             ticket.reply(chunk)
 
-    def _retry_alone(self, tenant: str, tickets: List[Ticket],
+    def _retry_alone(self, tickets: List[Ticket],
                      ctx: Optional[TraceContext]) -> None:
         for ticket in tickets:
             try:
-                answers = self._call(ticket.queries, ticket.scheme,
-                                     tenant, ctx)
+                answers = self._call(ticket.queries, ticket.scheme, ctx)
             except Exception as exc:
                 ticket.reply(exc)
                 continue
             self.flushed_queries += len(ticket.queries)
             ticket.reply(_stamp(answers, _ticket_counts([ticket])))
 
-    def _call(self, queries: List[Query], scheme: Any, tenant: str,
+    def _call(self, queries: List[Query], scheme: Any,
               ctx: Optional[TraceContext]) -> List[Answer]:
         # Backend spans (planner.execute, fleet.gather, engine waves)
         # parent under the coalescer's shared wave span.
         with _obs.activate(ctx):
-            return self._answer_fn(queries, scheme, tenant)
+            return self._answer_fn(queries, scheme)
 
     # ------------------------------------------------------------------
     # reporting

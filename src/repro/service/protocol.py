@@ -18,7 +18,7 @@ gigabytes.
 
 Versioning is explicit: the first client message must be
 ``{"type": "hello", "version": PROTOCOL_VERSION, ...}`` and the
-server answers ``welcome`` (echoing its version, tenant names, and
+server answers ``welcome`` (echoing its version, its name and its
 admission limits) or a ``version``-coded ``error`` — nothing else
 crosses the socket until the handshake agrees.  Bump
 :data:`PROTOCOL_VERSION` whenever a message's meaning changes; the
@@ -58,7 +58,7 @@ __all__ = [
 ]
 
 #: Bump on any change to message meaning; the handshake enforces it.
-PROTOCOL_VERSION = 3
+PROTOCOL_VERSION = 4
 
 #: Default refusal threshold for a single frame, either direction.
 DEFAULT_MAX_FRAME = 32 * 1024 * 1024

@@ -28,7 +28,9 @@ queued) when it would push the sending client above
 ``max_inflight_client`` or the server above ``max_inflight`` — typed
 backpressure instead of unbounded queues.  A request leaves flight
 when its reply is written; a reply too big for ``max_frame`` is
-replaced by a typed ``frame`` error.  Shutdown is a graceful
+replaced by a typed ``frame`` error, and a frame the server cannot
+read (undecodable, too big, or not a typed message) is answered with
+one before the connection closes.  Shutdown is a graceful
 :meth:`ScenarioServer.drain`: stop accepting, refuse new requests
 with a ``draining`` error, flush the coalescer, which answers
 everything in flight, let each connection's writer drain, then close.
@@ -71,10 +73,10 @@ class ScenarioServer:
     backend:
         A :class:`~repro.query.session.Session` or
         :class:`~repro.fleet.session.FleetSession` — any
-        :class:`~repro.query.session.SessionDialect`: the server
-        serves its :attr:`tenants` and calls ``answer(queries,
-        scheme, tenant=...)`` and ``cache_info()``.  The server owns
-        its use, not its lifetime — callers close their own backend.
+        :class:`~repro.query.session.SessionDialect`: the server calls
+        its ``answer(queries, scheme)`` and ``cache_info()``.  The
+        server owns its use, not its lifetime — callers close their
+        own backend.
     host, port:
         Bind address; ``port=0`` picks a free port (read it back from
         :attr:`address` after :meth:`start`).
@@ -103,7 +105,6 @@ class ScenarioServer:
         self.max_inflight = int(max_inflight)
         self.max_inflight_client = int(max_inflight_client)
         self.max_frame = int(max_frame)
-        self.tenants: Tuple[str, ...] = tuple(backend.tenants)
         self.coalescer = Coalescer(self._backend_answer,
                                    max_batch=max_batch)
         self._server: Optional[asyncio.base_events.Server] = None
@@ -182,12 +183,14 @@ class ScenarioServer:
                     *await protocol.read_frame(reader, self.max_frame))
                 if not self._dispatch(conn, message):
                     break
-        except (asyncio.IncompleteReadError, ConnectionError,
-                ServiceError):
-            # Disconnect mid-stream (or a garbled frame): the
-            # connection dies, the server lives.  Tickets already in
-            # flight complete against the backend; their replies hit
-            # the closed-writer guard in _send and are dropped.
+        except ServiceError as exc:
+            # A malformed frame: the peer reads why, then the close.
+            self._refuse(writer, None, exc.code, str(exc))
+        except (asyncio.IncompleteReadError, ConnectionError):
+            # Disconnect mid-stream: the connection dies, the server
+            # lives.  Tickets already in flight complete against the
+            # backend; their replies hit the closed-writer guard in
+            # _send and are dropped.
             pass
         finally:
             if conn is not None:
@@ -221,7 +224,6 @@ class ScenarioServer:
             "type": "welcome",
             "version": protocol.PROTOCOL_VERSION,
             "server": self.name,
-            "tenants": list(self.tenants),
             "limits": {
                 "max_inflight": self.max_inflight,
                 "max_inflight_client": self.max_inflight_client,
@@ -274,7 +276,6 @@ class ScenarioServer:
             self._refuse(conn.writer, mid, code, text)
             return
         queries = list(message["queries"])
-        tenant = str(message.get("tenant") or self.tenants[0])
         weight = len(queries)
         conn.inflight += weight
         self._inflight += weight
@@ -289,10 +290,9 @@ class ScenarioServer:
         if _obs.ENABLED:
             span_obj = _obs.start_span(
                 "service.request", parent=ctx,
-                client=conn.name, tenant=tenant, queries=weight)
+                client=conn.name, queries=weight)
         self.coalescer.submit(Ticket(
             queries=queries, scheme=message.get("scheme"),
-            tenant=tenant,
             reply=partial(self._reply, conn, mid, weight, span_obj),
             trace=(span_obj.context().to_dict()
                    if span_obj is not None else None)))
@@ -306,11 +306,6 @@ class ScenarioServer:
         if not isinstance(queries, (list, tuple)) or not all(
                 isinstance(q, Query) for q in queries):
             return "protocol", "answer request carries no typed queries"
-        tenant = message.get("tenant")
-        if tenant is not None and tenant not in self.tenants:
-            return "tenant", (
-                f"unknown tenant {tenant!r}; server hosts "
-                f"{list(self.tenants)}")
         weight = len(queries)
         if conn.inflight + weight > self.max_inflight_client:
             return "admission", (
@@ -351,11 +346,11 @@ class ScenarioServer:
         conn.inflight -= weight
         self._inflight -= weight
 
-    def _backend_answer(self, queries: List[Query], scheme: Any,
-                        tenant: str) -> List[Answer]:
+    def _backend_answer(self, queries: List[Query],
+                        scheme: Any) -> List[Answer]:
         """The blocking backend call; it runs on the event loop's
         thread, which reads no frames until it returns."""
-        return self.backend.answer(queries, scheme, tenant=tenant)
+        return self.backend.answer(queries, scheme)
 
     # ------------------------------------------------------------------
     # reporting
@@ -407,8 +402,8 @@ class ScenarioServer:
                  else "serving" if self._server is not None
                  else "stopped")
         return (
-            f"ScenarioServer(tenants={list(self.tenants)}, "
-            f"{state}, connections={len(self._connections)}, "
+            f"ScenarioServer({self.name!r}, {state}, "
+            f"connections={len(self._connections)}, "
             f"inflight={self._inflight}, "
             f"batches={self.coalescer.batches})"
         )

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import FrozenSet, Iterable, List, Optional, Set, Tuple
+from typing import FrozenSet, Optional, Set, Tuple
 
 from repro.exceptions import GraphError
 from repro.graphs.base import Edge, Graph, canonical_edge

@@ -24,7 +24,7 @@ indices, and the row cache behind each replacement distance.
 from __future__ import annotations
 
 import random
-from typing import Dict, Iterator, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from repro.exceptions import DisconnectedError, GraphError
 from repro.graphs.base import Edge, Graph, canonical_edge

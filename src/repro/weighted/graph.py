@@ -11,7 +11,7 @@ Dijkstra/tree machinery of :mod:`repro.spt` works on it unchanged via
 from __future__ import annotations
 
 import random
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Dict, Iterable, Iterator, List, Tuple
 
 from repro.exceptions import GraphError
 from repro.graphs.base import Edge, Graph, canonical_edge

@@ -54,7 +54,7 @@ class _Backend:
         self.during = {}
         self.errors = {}
 
-    def __call__(self, queries, scheme, tenant):
+    def __call__(self, queries, scheme):
         self.calls.append(list(queries))
         self.threads.append(threading.get_ident())
         number = len(self.calls)
@@ -62,7 +62,7 @@ class _Backend:
             self.during[number]()
         if number in self.errors:
             raise self.errors[number]
-        return self.session.answer(queries, scheme, tenant=tenant)
+        return self.session.answer(queries, scheme)
 
 
 class _Recording(Coalescer):
@@ -94,8 +94,7 @@ class _Reply:
 
 
 def _ticket(*queries):
-    return Ticket(queries=list(queries), scheme=None, tenant="default",
-                  reply=_Reply())
+    return Ticket(queries=list(queries), scheme=None, reply=_Reply())
 
 
 def _result(ticket):

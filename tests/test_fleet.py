@@ -23,13 +23,8 @@ from repro.query import (
     Session,
     VectorQuery,
 )
-from repro.fleet import (
-    FleetSession,
-    Router,
-    TenantSpec,
-    WorkerRegistry,
-    fault_hash,
-)
+from repro.fleet import FleetSession, Router, WorkerRegistry, fault_hash
+from repro.fleet import registry as registry_module
 from repro.fleet.protocol import (
     ErrorReply,
     ExecuteReply,
@@ -73,20 +68,18 @@ def _mixed_stream(g, seed=0, scenarios=5):
 # spawn-safety: everything that crosses the worker boundary pickles
 # ----------------------------------------------------------------------
 class TestSpawnSafety:
-    def test_tenant_spec_roundtrips(self, grid4, grid_scheme):
-        spec = TenantSpec(name="t", graph=grid4, memoize=128,
-                          delta=False, scheme=grid_scheme,
-                          warm_sources=(0, 5))
-        back = _spawn_roundtrip(spec)
-        assert back.name == "t" and back.memoize == 128
+    def test_init_request_roundtrips(self, grid4, grid_scheme):
+        init = InitRequest(graph=grid4, memoize=128, delta=False,
+                           scheme=grid_scheme)
+        back = _spawn_roundtrip(init)
+        assert back.memoize == 128 and back.delta is False
         assert back.graph.n == grid4.n and back.graph.m == grid4.m
-        assert back.warm_sources == (0, 5)
+        assert back.scheme.graph.n == grid4.n
 
     def test_requests_roundtrip(self, grid4):
         for request in (
-            InitRequest(tenants=(TenantSpec("d", grid4),)),
-            ExecuteRequest(tenant="d",
-                           queries=(DistanceQuery(0, 15, [(0, 1)]),
+            InitRequest(graph=grid4),
+            ExecuteRequest(queries=(DistanceQuery(0, 15, [(0, 1)]),
                                     VectorQuery(1),
                                     ConnectivityQuery())),
             ReportRequest(),
@@ -120,8 +113,7 @@ class TestSpawnSafety:
 
     def test_trace_and_span_fields_roundtrip(self, grid4):
         ctx = TraceContext(trace_id="ab" * 8, span_id="cd" * 8)
-        request = ExecuteRequest(tenant="d",
-                                 queries=(ConnectivityQuery(),),
+        request = ExecuteRequest(queries=(ConnectivityQuery(),),
                                  trace=ctx.to_dict())
         back = _spawn_roundtrip(request)
         assert back == request
@@ -137,7 +129,7 @@ class TestSpawnSafety:
 
     def test_untraced_protocol_defaults(self):
         # pre-obs shape: no trace on the way out, no spans back
-        assert ExecuteRequest(tenant="d", queries=()).trace is None
+        assert ExecuteRequest(queries=()).trace is None
         assert ExecuteReply(worker="w0", answers=()).spans == ()
 
     def test_error_reply_reraises_repro_types(self):
@@ -216,18 +208,13 @@ class TestRouter:
 # ----------------------------------------------------------------------
 class TestRegistry:
     def test_configuration_errors(self, grid4):
-        spec = TenantSpec("d", grid4)
         with pytest.raises(FleetError, match="at least one worker"):
-            WorkerRegistry([spec], workers=0)
-        with pytest.raises(FleetError, match="at least one tenant"):
-            WorkerRegistry([], workers=1)
-        with pytest.raises(FleetError, match="duplicate tenant"):
-            WorkerRegistry([spec, TenantSpec("d", grid4)])
+            WorkerRegistry(InitRequest(graph=grid4), workers=0)
 
     def test_ping_and_close(self, grid4):
         """Started workers are alive (read off their handles); close
         reaps every one, and a second close is harmless."""
-        registry = WorkerRegistry([TenantSpec("d", grid4)], workers=2)
+        registry = WorkerRegistry(InitRequest(graph=grid4), workers=2)
         registry.start()
         assert all(h.alive for h in registry._handles.values())
         registry.close()
@@ -235,7 +222,7 @@ class TestRegistry:
         registry.close()  # idempotent
 
     def test_respawn_after_worker_death(self, grid4):
-        with WorkerRegistry([TenantSpec("d", grid4)],
+        with WorkerRegistry(InitRequest(graph=grid4),
                             workers=2) as registry:
             registry.start()
             victim = registry._handles["w0"]
@@ -244,7 +231,6 @@ class TestRegistry:
             with pytest.warns(RuntimeWarning, match="respawning"):
                 replies = registry.dispatch({
                     "w0": ExecuteRequest(
-                        tenant="d",
                         queries=(DistanceQuery(0, 15, [(0, 1)]),)),
                 })
             assert replies["w0"].answers[0].value == 6
@@ -254,7 +240,7 @@ class TestRegistry:
 
     def test_serial_fallback_when_respawn_fails(self, grid4,
                                                 monkeypatch):
-        with WorkerRegistry([TenantSpec("d", grid4)],
+        with WorkerRegistry(InitRequest(graph=grid4),
                             workers=2) as registry:
             registry.start()
             victim = registry._handles["w1"]
@@ -264,17 +250,27 @@ class TestRegistry:
             def _no_respawn(handle):
                 raise OSError("no processes left")
 
+            built = []
+            real_build = registry_module.build_session
+
+            def _recording_build(init):
+                built.append(init)
+                return real_build(init)
+
             monkeypatch.setattr(registry, "_respawn", _no_respawn)
+            monkeypatch.setattr(registry_module, "build_session",
+                                _recording_build)
             with pytest.warns(RuntimeWarning, match="serial fallback"):
                 replies = registry.dispatch({
                     "w1": ExecuteRequest(
-                        tenant="d",
                         queries=(DistanceQuery(0, 15, [(0, 1)]),)),
                 })
             answer = replies["w1"].answers[0]
             assert answer.value == 6
             assert answer.provenance.worker == "serial"
             assert registry.serial_fallbacks == 1
+            # the fallback session is built from the workers' init
+            assert len(built) == 1 and built[0] is registry.init
 
 
 # ----------------------------------------------------------------------
@@ -314,7 +310,7 @@ class TestFleetSession:
                                  for s in sources])
             assert {a.provenance.worker for a in fill} == {"w0"}
             fleet.cache_info()
-            (_, w0_info), = fleet.worker_reports()["w0"].cache_infos
+            w0_info = fleet.worker_reports()["w0"].cache_info
             assert w0_info.size == w0_info.maxsize
             again = fleet.answer([VectorQuery(0, owned[0]),
                                   VectorQuery(1, owned[1])])
@@ -327,8 +323,7 @@ class TestFleetSession:
         with FleetSession(er_medium, workers=2) as fleet:
             fleet.answer(_mixed_stream(er_medium, seed=5, scenarios=6))
             reports = fleet.worker_reports()
-            per_worker = [info for rep in reports.values()
-                          for _, info in rep.cache_infos]
+            per_worker = [rep.cache_info for rep in reports.values()]
             merged = fleet.cache_info()
             assert merged == CacheInfo.merge(per_worker)
             for name in merged.keys():
@@ -336,38 +331,28 @@ class TestFleetSession:
                     continue
                 assert merged[name] == sum(i[name] for i in per_worker)
 
-    def test_multi_tenant_budgets_and_isolation(self, grid4, torus4):
-        with FleetSession(graphs={"a": grid4, "b": torus4},
-                          budgets={"b": 8}, workers=2) as fleet:
-            a = fleet.answer_one(DistanceQuery(0, 15, [(0, 1)]),
-                                 tenant="a")
-            assert a.value == 6
-            # hammer tenant b's tiny budget
-            fleet.answer([VectorQuery(s, [(0, 1)])
-                          for s in range(torus4.n)], tenant="b")
+    def test_memoize_budget_reaches_every_worker(self, torus4):
+        """The one-graph init reaches every worker: each engine holds
+        the fleet's ``memoize`` budget under a stream wider than it,
+        and ``delta=False`` turns the delta path off in every
+        worker."""
+        stream = [VectorQuery(s, F)
+                  for F in random_fault_sets(torus4, 2, 6, seed=5)
+                  for s in range(torus4.n)]
+        local = Session(torus4, memoize=8)
+        local.answer(stream)
+        on = local.cache_info()
+        assert on.delta_hits + on.delta_fallbacks > 0  # not vacuous
+        with FleetSession(torus4, memoize=8, delta=False,
+                          workers=2) as fleet:
+            answers = fleet.answer(stream)
+            assert [a.value for a in answers] == [
+                a.value for a in Session(torus4).answer(stream)]
             for report in fleet.worker_reports().values():
-                infos = dict(report.cache_infos)
-                assert infos["b"].maxsize == 8
-                assert infos["a"].maxsize == 4096
-                # b's evictions never touch a's cache
-                assert infos["a"].vector_evictions == 0
-
-    def test_tenant_validation(self, grid4, torus4):
-        with pytest.raises(FleetError, match="exactly one"):
-            FleetSession(grid4, graphs={"a": grid4})
-        with pytest.raises(FleetError, match="exactly one"):
-            FleetSession()
-        with pytest.raises(FleetError, match="no graph"):
-            FleetSession(graphs={"a": grid4}, budgets={"zzz": 4})
-        with FleetSession(graphs={"a": grid4, "b": torus4},
-                          workers=1) as fleet:
-            with pytest.raises(FleetError, match="pass tenant"):
-                fleet.answer([ConnectivityQuery()])
-            with pytest.raises(FleetError, match="unknown tenant"):
-                fleet.answer([ConnectivityQuery()], tenant="c")
-            with pytest.raises(FleetError, match="use tenant_graph"):
-                fleet.graph
-            assert fleet.tenant_graph("a") is grid4
+                info = report.cache_info
+                assert info.vector_misses > 8  # wider than the budget
+                assert info.maxsize == 8 and info.size <= 8
+                assert info.delta_hits == info.delta_fallbacks == 0
 
     def test_query_error_propagates_and_queue_drains(self, grid4):
         with FleetSession(grid4, workers=2) as fleet:
@@ -399,23 +384,12 @@ class TestFleetSession:
             assert [a.value for a in answers] == [
                 a.value for a in reference]
 
-    def test_warm_sources_preload_base_vectors(self, grid4):
-        with FleetSession(grid4, workers=1,
-                          warm_sources=(0, 5)) as fleet:
-            fleet.registry.start()
-            # the warm vectors were computed at init, before any query
-            (report,) = fleet.worker_reports().values()
-            (_, info), = report.cache_infos
-            assert info.size == 0  # LRU still empty
-            a = fleet.answer_one(VectorQuery(0))
-            assert a.value[15] == 6
-
     def test_gathers_counter_and_repr(self, grid4):
         with FleetSession(grid4, workers=1) as fleet:
             fleet.submit(ConnectivityQuery()).gather()
             assert fleet.gathers == 1
             assert "FleetSession(" in repr(fleet)
-            assert fleet.tenants == ("default",)
+            assert fleet.graph is grid4
 
 
 # ----------------------------------------------------------------------

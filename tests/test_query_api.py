@@ -14,7 +14,7 @@ import pytest
 
 from repro.core.restoration import midpoint_scan
 from repro.core.scheme import RestorableTiebreaking
-from repro.exceptions import GraphError, QueryError, ReproError
+from repro.exceptions import GraphError, QueryError
 from repro.graphs import generators
 from repro.graphs.base import Graph
 from repro.query import (
@@ -28,7 +28,6 @@ from repro.query import (
     Session,
     VectorQuery,
 )
-from repro.query.session import DEFAULT_TENANT
 from repro.scenarios import CacheInfo, ScenarioEngine, random_fault_sets
 from repro.spt.bfs import UNREACHABLE, bfs_distances
 from repro.weighted.graph import WeightedGraph
@@ -560,7 +559,10 @@ class TestSessionFacade:
         with pytest.raises(QueryError, match="unknown"):
             session.gather()
         assert session.pending == 0
+        # an empty gather reaches no transport: no ledger entry
+        gathers = session.stats.gathers
         assert session.gather() == []
+        assert session.stats.gathers == gathers
         assert session.answer_one(DistanceQuery(0, 15)).value == 6
 
     def test_close_is_idempotent_and_a_context_manager(self, grid4,
@@ -570,17 +572,6 @@ class TestSessionFacade:
             assert entered is session
             assert entered.answer_one(ConnectivityQuery()).value is True
         session.close()  # a second close is harmless
-
-    def test_unknown_tenant_is_a_typed_error(self, grid4, make_session):
-        session = make_session(grid4)
-        assert session.tenants == (DEFAULT_TENANT,)
-        with pytest.raises(ReproError, match="unknown tenant"):
-            session.answer([DistanceQuery(0, 15)], tenant="nobody")
-        with pytest.raises(ReproError, match="unknown tenant"):
-            session.submit(DistanceQuery(0, 15), tenant="nobody")
-        assert session.pending == 0
-        assert session.answer_one(DistanceQuery(0, 15),
-                                  tenant=DEFAULT_TENANT).value == 6
 
     def test_answer_async_uses_one_private_worker(self, grid4):
         """Concurrent awaits must not burn a default-executor thread

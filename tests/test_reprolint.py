@@ -259,6 +259,21 @@ def csr_scan(csr, out):
     return total
 """,
     ),
+    "IM501": (  # an imported name the module never reads
+        COLD,
+        """
+from typing import List, Tuple
+
+def first(items: List[int]) -> int:
+    return items[0]
+""",
+        """
+from typing import List
+
+def first(items: List[int]) -> int:
+    return items[0]
+""",
+    ),
     "E001": (  # unparsable source
         COLD,
         """
@@ -314,6 +329,32 @@ def test_good_fixture_is_fully_clean(rule_id):
 def test_hot_rules_do_not_fire_outside_the_registry():
     _, bad, _ = FIXTURES["KH101"]
     assert lint_source(bad, "repro.analysis.report") == []
+
+
+@pytest.mark.parametrize("source", [
+    # listed in __all__: a re-export
+    "from repro.graphs.base import Graph\n__all__ = ['Graph']\n",
+    # the ``x as x`` re-export spelling
+    "from repro.graphs.base import Graph as Graph\n",
+    # read only inside a string annotation
+    "from collections import Counter\n"
+    "def count(xs) -> 'Counter[int]':\n    return xs\n",
+    # read only through an attribute chain of a dotted import
+    "import os.path\n\ndef here():\n    return os.path.curdir\n",
+    # a deferred import read in its function
+    "def load():\n    import json\n    return json.loads('1')\n",
+    "from __future__ import annotations\n",
+], ids=["all", "as-self", "string-annotation", "dotted", "deferred",
+        "future"])
+def test_unused_import_counts_these_reads(source):
+    assert "IM501" not in all_ids(lint_source(source, COLD))
+
+
+def test_unused_import_skips_package_inits():
+    source = "from repro.graphs.base import Graph\n"
+    assert "IM501" in all_ids(lint_source(source, "repro.graphs"))
+    assert lint_source(source, "repro.graphs",
+                       path="src/repro/graphs/__init__.py") == []
 
 
 # ---------------------------------------------------------------------------

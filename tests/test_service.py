@@ -79,6 +79,11 @@ def _unpickled_hello():
             "client": "pickled"}
 
 
+def _frame(codec, payload):
+    """A raw frame: length header, codec byte, payload."""
+    return struct.pack(">IB", len(payload), ord(codec)) + payload
+
+
 class _PickledHello:
     """Unpickles by calling a module-level function: proof of decode."""
 
@@ -247,6 +252,32 @@ class TestProtocol:
         assert counters["answered"] == 1
         assert counters["inflight"] == 0
 
+    @pytest.mark.parametrize("handshake, frame", [
+        (False, _frame("J", b"{not json")),
+        (True, _frame("P", b"not a pickle")),
+        (True, struct.pack(">IB", protocol.DEFAULT_MAX_FRAME + 1,
+                           ord("P"))),
+        (False, _frame("J", b"[1, 2]")),
+    ], ids=["undecodable-hello", "undecodable-pickle",
+            "oversized-header", "json-list"])
+    def test_malformed_frame_gets_a_typed_frame_error(self, served,
+                                                      handshake, frame):
+        """A frame the server cannot decode is answered with a typed
+        ``frame`` error, then the connection closes; the server keeps
+        serving."""
+        server, _ = served
+        sock = (_raw_connect(server, "fuzz") if handshake else
+                socket.create_connection(server.address, timeout=30))
+        try:
+            sock.sendall(frame)
+            reply = protocol.recv_message(sock)
+            assert sock.recv(1) == b""  # then EOF
+        finally:
+            sock.close()
+        assert reply["type"] == "error" and reply["code"] == "frame"
+        with _connect(server) as client:
+            assert len(client.answer([DistanceQuery(0, 1)])) == 1
+
     def test_frame_limit_enforced_before_send(self):
         big = {"type": "blob", "payload": "x" * 4096}
         with pytest.raises(ServiceError) as info:
@@ -273,7 +304,6 @@ class TestRoundTrip:
                    VectorQuery(1, (e,))]
         with _connect(server, client="rt") as client:
             assert client.server == "scenario-service"
-            assert client.tenants == ("default",)
             answers = client.answer(queries)
             assert client.stats.answers == 2
         reference = Session(er_medium, delta=False).answer(queries)
@@ -554,25 +584,6 @@ class TestAdmissionControl:
             counters = server.server.counters()
         assert counters["rejected"] == 1
         assert counters["inflight"] == 0
-
-    def test_unknown_tenant_is_refused(self, served):
-        server, _ = served
-        # The client refuses an unknown tenant before sending...
-        with _connect(server) as client:
-            with pytest.raises(ServiceError) as info:
-                client.answer([DistanceQuery(0, 1)], tenant="nobody")
-            assert info.value.code == "tenant"
-        # ...and the server's admission check refuses a raw frame.
-        sock = _raw_connect(server, "raw")
-        try:
-            protocol.send_message(sock, {
-                "type": "answer", "id": 1, "tenant": "nobody",
-                "queries": [DistanceQuery(0, 1)],
-            })
-            reply = protocol.recv_message(sock)
-        finally:
-            sock.close()
-        assert reply["type"] == "error" and reply["code"] == "tenant"
 
 
 class TestResilience:
