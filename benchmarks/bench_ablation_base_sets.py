@@ -10,7 +10,6 @@ and verifies both methods restore correctly.
 
 import pytest
 
-from repro.analysis.experiments import timed
 from repro.graphs import generators
 from repro.core.scheme import RestorableTiebreaking
 from repro.core.restoration import restore_by_concatenation

@@ -50,7 +50,7 @@ from repro.analysis.experiments import timed
 from repro.graphs import generators
 from repro.query import DistanceQuery, Session
 from repro.spt.batched import csr_bfs_distances_many
-from repro.spt.bfs import bfs_distances, bfs_tree
+from repro.spt.bfs import bfs_distances
 from repro.spt.fastpaths import csr_bfs_distances
 
 try:

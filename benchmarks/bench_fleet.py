@@ -12,7 +12,7 @@ parallelism — and that is the point.  The fleet's win is *capacity
 pooling* (the resource-pool idiom of the MAAS-pod / C-POD lineage):
 the working set of distance vectors overflows one worker's LRU budget
 (cyclic replay against an LRU that is even one entry too small hits
-0%), but the router's fault-set affinity splits it across four
+0%), but the fleet's fault-set affinity splits it across four
 workers whose *aggregate* budget holds it — so every pass after the
 first is served from warm caches instead of re-running BFS waves.
 The 1-worker column pays the full wave cost every pass; the 4-worker

@@ -45,7 +45,7 @@ def main() -> None:
     print(f"fleet: {fleet!r}")
 
     # --- 1. sharded gathers with fault-set affinity ------------------
-    # Submit a mixed stream, gather once.  The router shards it by
+    # Submit a mixed stream, gather once.  The fleet shards it by
     # canonical fault set: every query about a given scenario lands on
     # the same worker.
     stream = monitoring_stream(graph, 24, seed=3)

@@ -15,13 +15,10 @@ batched kernel call per group.
 Run:  PYTHONPATH=src python examples/query_session.py
 """
 
-import asyncio
-
 from repro.analysis.experiments import format_table, timed
 from repro.graphs import generators
 from repro.query import (
     ConnectivityQuery,
-    DistanceQuery,
     EccentricityQuery,
     PairQuery,
     Session,
@@ -103,21 +100,7 @@ def main() -> None:
     print()
     print(format_table(rows[:8], title="worst-degraded monitored pairs"))
 
-    # --- the asyncio seam --------------------------------------------
-    async def service_front():
-        # answer_async runs the plan on the session's private
-        # single-thread executor, so an async service can interleave
-        # gathers with other work.
-        return await session.answer_async(
-            [DistanceQuery(probes[0], collectors[0], scenarios[0]),
-             ConnectivityQuery(scenarios[0])]
-        )
-
-    dist, alive = asyncio.run(service_front())
-    print(f"\nasync gather: dist={dist.value} "
-          f"(provenance {dist.provenance.source}), "
-          f"connected={alive.value}")
-    print(f"session: {session!r}")
+    print(f"\nsession: {session!r}")
 
 
 if __name__ == "__main__":

@@ -10,8 +10,6 @@ balance σ = n^{1/(2^f + 1)} is the sweet spot.
 Run:  python examples/spanner_tradeoffs.py
 """
 
-import itertools
-
 from repro.analysis.experiments import format_table
 from repro.graphs import generators
 from repro.spanners import ft_plus4_spanner

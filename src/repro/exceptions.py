@@ -113,7 +113,9 @@ class ServiceError(ReproError):
     server as a whole has too many queries in flight), a draining
     server, or a frame that violates the wire protocol (oversized,
     unknown codec).  Admission rejections are *load signals*, not
-    bugs: a client is expected to back off and retry.
+    bugs: a client is expected to back off and retry.  A request
+    whose round trip breaks off (code ``timeout`` or ``closed``)
+    closes the client.
     """
 
     def __init__(self, message: str, code: str = "service"):

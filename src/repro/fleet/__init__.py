@@ -15,10 +15,10 @@ The moving parts, bottom up:
   session;
 * :mod:`repro.fleet.registry` — worker lifecycle, respawn and
   in-process serial fallback;
-* :mod:`repro.fleet.router` — cache-affine sharding (by canonical
-  fault set, or by source range for vector-heavy streams);
-* :mod:`repro.fleet.session` — the ``Session``-shaped facade with
-  merged :class:`~repro.scenarios.engine.CacheInfo` /
+* :mod:`repro.fleet.session` — the ``Session``-shaped facade: it
+  shards each stream cache-affinely, by a stable hash of each query's
+  canonical fault set (:func:`~repro.fleet.session.fault_hash`), and
+  merges :class:`~repro.scenarios.engine.CacheInfo` /
   :class:`~repro.query.session.SessionStats` reports.
 
 Import from here::
@@ -31,12 +31,10 @@ of the plain in-process API never need.
 """
 
 from repro.fleet.registry import WorkerRegistry
-from repro.fleet.router import Router, fault_hash
-from repro.fleet.session import FleetSession
+from repro.fleet.session import FleetSession, fault_hash
 
 __all__ = [
     "FleetSession",
-    "Router",
     "WorkerRegistry",
     "fault_hash",
 ]

@@ -15,8 +15,8 @@ The :class:`WorkerRegistry` owns a set of persistent worker processes
   :attr:`WorkerRegistry.serial_fallbacks`) and warned about, never
   raised.
 
-Which worker serves which query is not the registry's call: the
-:class:`~repro.fleet.router.Router` shards every stream over
+Which worker serves which query is not the registry's call:
+:class:`~repro.fleet.session.FleetSession` shards every stream over
 :attr:`WorkerRegistry.workers`.
 """
 
@@ -111,10 +111,6 @@ class WorkerRegistry:
     def workers(self) -> Tuple[str, ...]:
         """Worker names, in routing order."""
         return tuple(self._handles)
-
-    @property
-    def started(self) -> bool:
-        return self._started
 
     def start(self) -> None:
         """Start (once) every worker and wait for their ready replies.

@@ -2,13 +2,22 @@
 fleet of engine workers.
 
 A fleet session is a :class:`~repro.query.session.SessionDialect`, so
-it speaks the exact submit/gather/answer/answer_async dialect of the
-in-process :class:`~repro.query.session.Session`; its transport seam
-shards each stream with the :class:`~repro.fleet.router.Router` over
-the workers of a :class:`~repro.fleet.registry.WorkerRegistry` and
-executes the shards in parallel processes, each holding one warm
-engine over the fleet's graph.  The router is the only code that
-picks a worker: reading reports never narrows the set it shards over.
+it speaks the exact submit/gather/answer dialect of the in-process
+:class:`~repro.query.session.Session`; its transport seam shards each
+stream over the workers of a
+:class:`~repro.fleet.registry.WorkerRegistry` and executes the shards
+in parallel processes, each holding one warm engine over the fleet's
+graph.
+
+Routing is one rule, in :meth:`FleetSession._execute`: a query goes to
+the worker picked by :func:`fault_hash` of its canonical fault set.
+Every query of one scenario lands on one worker, so the planner's
+per-group wave sharing survives sharding, and a repeated scenario
+always meets its cached rows — the affinity that makes the fleet's
+LRUs behave like one big cache instead of ``N`` small ones.  Nothing
+else picks a worker: reading reports never narrows the set it shards
+over.
+
 Reports merge: :meth:`cache_info` folds every worker's
 :class:`~repro.scenarios.engine.CacheInfo` with
 :meth:`~repro.scenarios.engine.CacheInfo.merge`, and :attr:`stats`
@@ -20,7 +29,8 @@ like one big session whose cache is the sum of its workers' budgets.
 from __future__ import annotations
 
 import threading
-from typing import Any, Dict, List, Optional
+import zlib
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro import obs as _obs
 from repro.exceptions import FleetError
@@ -33,12 +43,21 @@ from repro.fleet.protocol import (
     raise_reply,
 )
 from repro.fleet.registry import WorkerRegistry
-from repro.fleet.router import Router
 from repro.query.queries import Answer, Query
 from repro.query.session import Session, SessionDialect, SessionStats
 from repro.scenarios.engine import CacheInfo
 
-__all__ = ["FleetSession"]
+__all__ = ["FleetSession", "fault_hash"]
+
+
+def fault_hash(fault_key: Tuple[Any, ...]) -> int:
+    """A process-stable hash of a canonical fault tuple.
+
+    :func:`zlib.crc32` over the tuple's ``repr``: unlike ``hash()``,
+    which is salted for strings, it routes a scenario to the same
+    worker in every session of every run.
+    """
+    return zlib.crc32(repr(fault_key).encode("utf-8"))
 
 
 class FleetSession(SessionDialect):
@@ -80,22 +99,21 @@ class FleetSession(SessionDialect):
                  start_method: Optional[str] = None) -> None:
         super().__init__(scheme)
         self.graph = graph
-        self._router = Router(n=int(getattr(graph, "n", 0) or 0))
         self.registry = WorkerRegistry(
             InitRequest(graph=graph, memoize=memoize, delta=delta,
                         scheme=scheme),
             workers=workers, start_method=start_method)
         self._gathers = 0
-        # Executes serialize on this lock: answer_async runs on the
-        # session's worker thread, and the registry's pipes are not
-        # thread-safe.
+        # Executes serialize on this lock: threads may share one
+        # fleet session, and the registry's pipes are not thread-safe.
         self._gather_lock = threading.Lock()
 
     # ------------------------------------------------------------------
     # the transport seam
     # ------------------------------------------------------------------
     def _execute(self, queries: List[Query], scheme: Any) -> List[Answer]:
-        """Shard one stream over the workers; answers in order.
+        """Shard one stream over the workers by fault-set hash;
+        answers in order.
 
         Workers re-validate their own shards (unknown vertices, bad
         schemes).  Every shard's reply is collected — its spans
@@ -108,8 +126,12 @@ class FleetSession(SessionDialect):
         with self._gather_lock:
             with _obs.span("fleet.gather", queries=len(queries)):
                 self.registry.start()
-                shards = self._router.shard(queries,
-                                            self.registry.workers)
+                workers = self.registry.workers
+                shards: Dict[str, List[int]] = {}
+                for index, query in enumerate(queries):
+                    worker = workers[fault_hash(query.fault_key)
+                                     % len(workers)]
+                    shards.setdefault(worker, []).append(index)
                 # When tracing, every shard request carries the
                 # caller's current context so worker-side spans
                 # (worker.execute and the engine waves under it)
@@ -189,14 +211,12 @@ class FleetSession(SessionDialect):
         return self._gathers
 
     def close(self) -> None:
-        """Release the async worker thread, then shut the workers down
-        (idempotent)."""
-        super().close()
+        """Shut the workers down (idempotent)."""
         self.registry.close()
 
     def __repr__(self) -> str:
         return (
-            f"FleetSession(n={self._router.n}, "
+            f"FleetSession(n={self.graph.n}, "
             f"workers={len(self.registry.workers)}, "
             f"gathers={self._gathers}, pending={len(self._pending)})"
         )

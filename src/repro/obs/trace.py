@@ -9,8 +9,8 @@ A :class:`TraceContext` is the portable half of a span — ``(trace_id,
 span_id)`` — small enough to ride as an optional field on
 ``fleet.protocol.ExecuteRequest`` and as a ``"trace"`` slot in the
 service's JSON control dicts.  The *current* context lives in a
-:mod:`contextvars` variable, so it propagates naturally through the
-service's asyncio tasks and the session's executor threads; process
+:mod:`contextvars` variable, so each thread, and each task or
+callback on the service's event loop, sees its own; process
 boundaries re-activate it explicitly from the carried context.
 """
 

@@ -8,10 +8,11 @@ of asking the declarative API a question speaks it:
   submission order;
 * **one-shot** — :meth:`~SessionDialect.answer` and
   :meth:`~SessionDialect.answer_one` answer directly (the queue is
-  untouched);
-* **async** — :meth:`~SessionDialect.answer_async` awaits the same
-  result from an :mod:`asyncio` event loop (the call runs on the
-  session's private worker thread, keeping the loop responsive).
+  untouched).
+
+Every call blocks until its answers are back, and one session may be
+shared by threads.  An :mod:`asyncio` caller keeps its loop free by
+awaiting ``loop.run_in_executor(None, session.answer, queries)``.
 
 The dialect is implemented once, here, over a single transport seam,
 ``_execute(queries, scheme) -> answers`` (the shape of the service
@@ -29,16 +30,13 @@ seam, ``cache_info`` and its own extras:
 from __future__ import annotations
 
 import abc
-import asyncio
-import functools
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, List, Optional, TypeVar
 
 from repro import obs as _obs
 from repro.exceptions import GraphError, QueryError
-from repro.query.planner import Plan, Planner
+from repro.query.planner import Planner
 from repro.query.queries import Answer, Query, check_stream
 from repro.scenarios.engine import CacheInfo, ScenarioEngine
 
@@ -68,18 +66,14 @@ class SessionStats:
     by_backend: Dict[str, int] = field(default_factory=dict)
     by_worker: Dict[str, int] = field(default_factory=dict)
 
-    def record(self, plan: Plan, answers: List[Answer]) -> None:
-        self.record_answers(answers, waves=plan.waves)
-
     def record_answers(self, answers: Iterable[Answer],
                        waves: int = 0) -> None:
-        """Book one gather's worth of answers without a plan object.
+        """Book one gather's worth of answers.
 
-        The plan-free form exists for consumers on the far side of a
-        wire — the scenario service's per-client ledgers and
-        :class:`~repro.service.client.ServiceClient` — which hold
-        typed answers but never see the plan that produced them.
-        ``waves`` is the batch's kernel-call count (0 when unknown).
+        ``waves`` is the batch's kernel-call count: a
+        :class:`Session` passes its plan's, while
+        :class:`~repro.service.client.ServiceClient`, which never sees
+        the plan that produced its answers, leaves it 0.
         """
         self.gathers += 1
         self.waves += waves
@@ -138,22 +132,12 @@ class SessionDialect(abc.ABC):
     """The submit/gather/answer dialect, over one transport seam.
 
     A transport implements :meth:`_execute` and :meth:`cache_info`;
-    staging, the stream check, the async executor and the lifecycle
-    live here, once.
+    staging, the stream check and the lifecycle live here, once.
     """
 
     def __init__(self, scheme: Any = None) -> None:
         self.scheme = scheme
         self._pending: List[Query] = []
-        # Lazily created single-thread executor for answer_async.
-        # Every transport serializes its calls anyway, so one worker
-        # thread is the whole truth of a session's concurrency: N
-        # pending answer_async calls queue N closures on one thread
-        # instead of parking N default-executor threads on a lock.
-        # It has a lock of its own, so starting an await never waits
-        # for a transport's in-flight call.
-        self._async_executor: Optional[ThreadPoolExecutor] = None
-        self._async_lock = threading.Lock()
 
     # ------------------------------------------------------------------
     # the transport seam
@@ -228,46 +212,16 @@ class SessionDialect(abc.ABC):
         """Convenience: answer a single query."""
         return self.answer([query], scheme)[0]
 
-    async def answer_async(self, queries: Iterable[Query],
-                           scheme: Any = None) -> List[Answer]:
-        """Awaitable :meth:`answer` for asyncio consumers.
-
-        The call runs on the session's own single worker thread
-        (created on first use, shut down by :meth:`close`), so the
-        loop stays free to accept other work while the transport
-        answers — kernels sweeping in process, shards in flight to
-        fleet workers, or a socket round trip to a server.  Calls
-        serialize on the transport regardless, so N pending
-        ``answer_async`` calls queue N closures on that one thread.
-        """
-        loop = asyncio.get_running_loop()
-        return await loop.run_in_executor(
-            self._executor(),
-            functools.partial(self.answer, list(queries), scheme),
-        )
-
-    def _executor(self) -> ThreadPoolExecutor:
-        with self._async_lock:
-            if self._async_executor is None:
-                self._async_executor = ThreadPoolExecutor(
-                    max_workers=1,
-                    thread_name_prefix="repro-session",
-                )
-            return self._async_executor
-
     # ------------------------------------------------------------------
     # lifecycle
     # ------------------------------------------------------------------
     def close(self) -> None:
-        """Release the async worker thread (idempotent).
+        """Release what the transport holds (idempotent).
 
-        Pending async answers finish first.  Transports that hold more
-        (worker processes, a socket) release it after this.
+        An in-process :class:`Session` holds nothing to release, so
+        this is a no-op here; a fleet shuts its workers down and a
+        service client closes its socket.
         """
-        with self._async_lock:
-            executor, self._async_executor = self._async_executor, None
-        if executor is not None:
-            executor.shutdown(wait=True)
 
     def __enter__(self: _S) -> _S:
         return self
@@ -325,8 +279,8 @@ class Session(SessionDialect):
         self.planner = Planner(engine)
         self.stats = SessionStats()
         # Executes serialize on this lock: the engine's LRU and the
-        # session counters are not thread-safe, and answer_async runs
-        # on the session's worker thread.
+        # session counters are not thread-safe, and threads may share
+        # one session.
         self._gather_lock = threading.Lock()
 
     @classmethod
@@ -372,7 +326,7 @@ class Session(SessionDialect):
             answers = self.planner.execute(
                 plan, scheme=scheme if scheme is not None else self.scheme
             )
-            self.stats.record(plan, answers)
+            self.stats.record_answers(answers, waves=plan.waves)
         return answers
 
     def cache_info(self) -> CacheInfo:

@@ -23,8 +23,7 @@ masked wave, not one each.  This package is that front:
   ``admission`` backpressure replies), each reply written by the batch
   that answers it, graceful drain.
 * :class:`~repro.service.client.ServiceClient` — the session dialect
-  (submit/gather/answer/answer_one/answer_async, stats, cache_info)
-  over the wire; its ``answer_async`` is the asyncio entry.
+  (submit/gather/answer/answer_one, stats, cache_info) over the wire.
 * :class:`~repro.service.background.BackgroundServer` — the server on
   a daemon thread, for synchronous callers and tests.
 

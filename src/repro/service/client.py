@@ -3,13 +3,10 @@
 A :class:`~repro.query.session.SessionDialect` whose transport seam is
 one request/reply round trip to a
 :class:`~repro.service.server.ScenarioServer`, so it speaks the exact
-submit/gather/answer/answer_one/answer_async dialect of
+submit/gather/answer/answer_one dialect of
 :class:`~repro.query.session.Session`: code written against a session
-runs against a served backend by swapping the constructor.
-:meth:`~repro.query.session.SessionDialect.answer_async` is the
-asyncio entry — the round trip runs on the client's private worker
-thread while the event loop stays free, and the server coalesces
-concurrent clients' queries into shared waves.
+runs against a served backend by swapping the constructor.  The
+server coalesces concurrent clients' queries into shared waves.
 
 The client keeps a client-side
 :class:`~repro.query.session.SessionStats` ledger (fed by
@@ -22,6 +19,9 @@ stream surfaces as the same
 and backpressure surfaces as
 :class:`~repro.exceptions.ServiceError` with a machine-readable
 ``code`` (``admission``, ``draining``, ``version``, ``frame``, ...).
+A round trip that breaks off — a socket timeout, a dead connection,
+an undecodable reply — closes the client, which raises ``timeout`` or
+``closed``; every later call raises ``closed``.
 """
 
 from __future__ import annotations
@@ -67,8 +67,8 @@ class ServiceClient(SessionDialect):
         super().__init__(scheme)
         self.stats = SessionStats()
         self._ids = itertools.count(1)
-        # One request/reply dialog on the socket at a time: answer_async
-        # runs its dialog on a worker thread.
+        # One request/reply dialog on the socket at a time: threads
+        # may share one client.
         self._lock = threading.Lock()
         self._sock: Optional[socket.socket] = socket.create_connection(
             (host, port), timeout)
@@ -114,17 +114,18 @@ class ServiceClient(SessionDialect):
                 message["trace"] = span_obj.context().to_dict()
             reply = self._request(message)
         answers = list(reply["answers"])
-        self.stats.record_answers(answers)
+        with self._lock:  # the ledger's counters are not thread-safe
+            self.stats.record_answers(answers)
         return answers
 
     # ------------------------------------------------------------------
     # service extras
     # ------------------------------------------------------------------
     def server_stats(self) -> Message:
-        """The server's view of this client: per-client
-        :class:`SessionStats` (``"client"``), backend
-        :class:`CacheInfo` (``"cache"``), and JSON server counters
-        (``"server"``: batches, coalesced queries, rejections...)."""
+        """The server's report: backend :class:`CacheInfo`
+        (``"cache"``), JSON server counters (``"server"``: batches,
+        coalesced queries, rejections...) and its observability
+        payload (``"obs"``)."""
         return self._request({"type": "stats", "id": next(self._ids)})
 
     def cache_info(self) -> CacheInfo:
@@ -137,11 +138,21 @@ class ServiceClient(SessionDialect):
     # plumbing
     # ------------------------------------------------------------------
     def _request(self, message: Message) -> Message:
-        """One request/reply dialog: send, then read exactly one reply."""
-        sock = self._require_sock()
+        """One request/reply dialog: send, then read exactly one reply.
+
+        A request too big for ``max_frame`` is refused before any byte
+        is written, so the client stays open.
+        """
         with self._lock:
-            protocol.send_message(sock, message, self.max_frame)
-            reply = protocol.recv_message(sock, self.max_frame)
+            sock = self._require_sock()
+            try:
+                protocol.send_message(sock, message, self.max_frame)
+            except OSError as exc:
+                raise self._break_off(sock, exc) from exc
+            try:
+                reply = protocol.recv_message(sock, self.max_frame)
+            except (OSError, ServiceError) as exc:
+                raise self._break_off(sock, exc) from exc
         if reply.get("type") == "error":
             protocol.raise_error_reply(reply)
         if reply.get("id") != message["id"]:
@@ -156,10 +167,18 @@ class ServiceClient(SessionDialect):
             raise ServiceError("client is closed", code="closed")
         return self._sock
 
+    def _break_off(self, sock: socket.socket,
+                   cause: Exception) -> ServiceError:
+        """Close a socket whose dialog broke off mid-way: its next
+        reply would answer the wrong request."""
+        self._sock = None
+        sock.close()
+        code = "timeout" if isinstance(cause, socket.timeout) else "closed"
+        return ServiceError(f"request failed, client closed: {cause}",
+                            code=code)
+
     def close(self) -> None:
-        """Finish pending async answers, say goodbye and release the
-        socket (idempotent)."""
-        super().close()
+        """Say goodbye and release the socket (idempotent)."""
         sock, self._sock = self._sock, None
         if sock is None:
             return

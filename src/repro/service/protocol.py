@@ -58,7 +58,7 @@ __all__ = [
 ]
 
 #: Bump on any change to message meaning; the handshake enforces it.
-PROTOCOL_VERSION = 4
+PROTOCOL_VERSION = 5
 
 #: Default refusal threshold for a single frame, either direction.
 DEFAULT_MAX_FRAME = 32 * 1024 * 1024

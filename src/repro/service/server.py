@@ -45,7 +45,7 @@ from typing import Any, Dict, List, Optional, Set, Tuple, Union
 from repro import obs as _obs
 from repro.exceptions import ReproError, ServiceError
 from repro.query.queries import Answer, Query
-from repro.query.session import SessionDialect, SessionStats
+from repro.query.session import SessionDialect
 from repro.scenarios.engine import CacheInfo
 from repro.service import protocol
 from repro.service.coalescer import Coalescer, Ticket
@@ -55,13 +55,12 @@ __all__ = ["ScenarioServer"]
 
 
 class _Connection:
-    """Per-connection server state: identity, ledger, in-flight weight."""
+    """Per-connection server state: identity, writer, in-flight weight."""
 
     def __init__(self, name: str,
                  writer: asyncio.StreamWriter) -> None:
         self.name = name
         self.writer = writer
-        self.stats = SessionStats()
         self.inflight = 0
 
 
@@ -244,7 +243,6 @@ class ScenarioServer:
         if kind == "stats":
             self._send(conn.writer, {
                 "type": "stats", "id": mid,
-                "client": conn.stats,
                 "cache": self.cache_info(),
                 "server": self.counters(),
                 "obs": {
@@ -336,7 +334,6 @@ class ScenarioServer:
             })
         elif self._send(conn.writer, {
                 "type": "answers", "id": mid, "answers": outcome}):
-            conn.stats.record_answers(outcome)
             self._answered += len(outcome)
             if _obs.ENABLED:
                 _obs.inc("repro_service_answers_total", len(outcome),

@@ -11,6 +11,7 @@ lifecycle, and the provenance/stats threading up through ``Session``.
 
 from __future__ import annotations
 
+import importlib.util
 import pickle
 import random
 from array import array
@@ -146,11 +147,7 @@ class TestNumpyFallback:
         # actual install — not HAVE_NUMPY, which snapshots the outer
         # environment (a no-numpy CI leg exports REPRO_NO_NUMPY=1).
         monkeypatch.setenv("REPRO_NO_NUMPY", "0")
-        try:
-            import numpy  # noqa: F401
-            installed = True
-        except ImportError:
-            installed = False
+        installed = importlib.util.find_spec("numpy") is not None
         assert (numpy_or_none() is None) == (not installed)
 
     def test_auto_falls_back_without_numpy(self, monkeypatch):

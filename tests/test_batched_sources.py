@@ -26,7 +26,7 @@ from repro.exceptions import GraphError, QueryError
 from repro.graphs import generators
 from repro.graphs.base import Graph
 from repro.query import DistanceQuery, RestorationQuery, Session
-from repro.scenarios import ScenarioEngine, random_fault_sets, single_edge_faults
+from repro.scenarios import ScenarioEngine, single_edge_faults
 from repro.spt.apsp import (
     all_pairs_bfs_distances,
     diameter,

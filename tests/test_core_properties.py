@@ -17,7 +17,7 @@ from repro.core.properties import (
     symmetry_violations,
     theorem37_holds_on,
 )
-from repro.core.scheme import BFSTiebreaking, ExplicitScheme, RestorableTiebreaking
+from repro.core.scheme import BFSTiebreaking, ExplicitScheme
 from repro.spt.paths import Path
 
 

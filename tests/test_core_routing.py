@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.exceptions import DisconnectedError, GraphError, RestorationError
+from repro.exceptions import DisconnectedError, GraphError
 from repro.graphs import generators
 from repro.core.routing import MplsRouter, RoutingTable, fault_patch
 from repro.core.scheme import RestorableTiebreaking

@@ -5,7 +5,7 @@ import pytest
 from repro.graphs import generators
 from repro.core.weights import AntisymmetricWeights
 from repro.distributed.bfs import ConvergingBFSNode, distributed_spt
-from repro.spt.apsp import diameter, eccentricity
+from repro.spt.apsp import eccentricity
 from repro.spt.trees import ShortestPathTree
 
 

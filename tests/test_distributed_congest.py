@@ -4,11 +4,9 @@ import pytest
 
 from repro.exceptions import CongestError
 from repro.graphs import generators
-from repro.graphs.base import Graph
 from repro.distributed.congest import (
     CongestSimulator,
     NodeAlgorithm,
-    NodeHandle,
 )
 
 

@@ -3,9 +3,8 @@ worker lifecycle, and FleetSession conformance.
 
 The general Session-surface conformance lives in test_query_api.py
 (the facade tests parametrised over the `make_session` factory); this
-module covers what is fleet-specific — the pickle seam, the router's
-affinity guarantees, the registry's degradation ladder, and the
-merged reports.
+module covers what is fleet-specific — the pickle seam, fault-set
+affinity, the registry's degradation ladder, and the merged reports.
 """
 
 import io
@@ -23,7 +22,7 @@ from repro.query import (
     Session,
     VectorQuery,
 )
-from repro.fleet import FleetSession, Router, WorkerRegistry, fault_hash
+from repro.fleet import FleetSession, WorkerRegistry, fault_hash
 from repro.fleet import registry as registry_module
 from repro.fleet.protocol import (
     ErrorReply,
@@ -144,7 +143,7 @@ class TestSpawnSafety:
 
 
 # ----------------------------------------------------------------------
-# router
+# routing
 # ----------------------------------------------------------------------
 class TestRouter:
     def test_fault_hash_is_process_stable(self):
@@ -156,51 +155,14 @@ class TestRouter:
         assert fault_hash(key) == zlib.crc32(repr(key).encode())
 
     def test_fault_affinity(self, grid4):
-        router = Router()
+        # every answer comes from the worker its fault set hashes to,
+        # so one fault set is never split across workers
         stream = _mixed_stream(grid4, seed=4)
-        shards = router.shard(stream, ["w0", "w1", "w2"])
-        owner = {}
-        for worker, indices in shards.items():
-            for i in indices:
-                key = stream[i].fault_key
-                assert owner.setdefault(key, worker) == worker, (
-                    "one fault set split across workers")
-
-    def test_deterministic_across_instances(self, grid4):
-        stream = _mixed_stream(grid4, seed=7)
-        a = Router().shard(stream, ["w0", "w1"])
-        b = Router().shard(stream, ["w0", "w1"])
-        assert a == b
-
-    def test_routes_around_full_workers(self, grid4):
-        stream = _mixed_stream(grid4, seed=4)
-        shards = Router().shard(stream, ["w1", "w2"])
-        assert "w0" not in shards
-        assert sorted(i for idx in shards.values() for i in idx) == \
-            list(range(len(stream)))
-
-    def test_source_policy_partitions_by_range(self):
-        # one fault set, every query sourced: the batch rule picks the
-        # source range
-        router = Router(n=100)
-        stream = [VectorQuery(s, [(0, 1)]) for s in range(100)]
-        shards = router.shard(stream, ["w0", "w1"])
-        assert shards["w0"] == list(range(50))
-        assert shards["w1"] == list(range(50, 100))
-
-    def test_auto_prefers_source_for_vector_heavy_streams(self):
-        router = Router(n=100)
-        # one fault set, many sources: fault-hashing would idle w1
-        stream = [VectorQuery(s, [(0, 1)]) for s in range(0, 100, 5)]
-        assert router.resolve(stream, ["w0", "w1"]) == "source"
-        assert len(router.shard(stream, ["w0", "w1"])) == 2
-        # sourceless queries force fault sharding
-        assert router.resolve([ConnectivityQuery()], ["w0", "w1"]) \
-            == "faults"
-
-    def test_zero_eligible_raises(self):
-        with pytest.raises(FleetError, match="zero workers"):
-            Router().shard([ConnectivityQuery()], [])
+        with FleetSession(grid4, workers=3) as fleet:
+            answers = fleet.answer(stream)
+        assert [a.provenance.worker for a in answers] == [
+            f"w{fault_hash(q.fault_key) % 3}" for q in stream]
+        assert len({a.provenance.worker for a in answers}) > 1
 
 
 # ----------------------------------------------------------------------

@@ -4,7 +4,7 @@ import pytest
 
 from repro.exceptions import GraphError
 from repro.graphs.base import Graph
-from repro.graphs.csr import CSRGraph, CSRFaultView, as_csr
+from repro.graphs.csr import CSRGraph, as_csr
 from repro.graphs.views import FaultView, GraphLike
 from repro.graphs import generators
 from repro.spt.bfs import bfs_distances, hop_distance

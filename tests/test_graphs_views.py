@@ -3,7 +3,7 @@
 import pytest
 
 from repro.graphs.base import Graph
-from repro.graphs.views import FaultView, GraphLike
+from repro.graphs.views import GraphLike
 
 
 @pytest.fixture

@@ -1,8 +1,5 @@
 """Edge-case tests for smaller surfaces not covered elsewhere."""
 
-import pytest
-
-from repro.exceptions import CongestError, GraphError
 from repro.graphs import generators
 from repro.graphs.base import Graph
 

@@ -12,7 +12,6 @@ import random
 
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro.graphs.base import Graph
 from repro.weighted import (
     BaseSet,
     WeightedGraph,
@@ -73,7 +72,6 @@ class TestBaseSetProperty:
     @settings(max_examples=10, **COMMON)
     def test_base_set_restores_exactly(self, seed, n):
         from repro.graphs.generators import connected_erdos_renyi
-        from repro.exceptions import DisconnectedError
 
         g = connected_erdos_renyi(n, 3.0 / n, seed=seed)
         base = BaseSet(g, seed=seed)

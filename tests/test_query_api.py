@@ -7,8 +7,8 @@ against the naive BFS oracle, provenance consistency with
 cache_info() deltas, and the target-side batching cost model.
 """
 
-import asyncio
-import time
+import sys
+import threading
 
 import pytest
 
@@ -407,20 +407,6 @@ class TestTargetSideBatching:
         assert plan.groups[0].side == "source"
 
 
-class _SlowScheme:
-    """A scheme whose tree lookups sleep — a deliberately slow backend
-    on every leg, since it pickles to fleet workers and servers."""
-
-    def __init__(self, scheme, delay):
-        self.scheme = scheme
-        self.graph = scheme.graph
-        self.delay = delay
-
-    def tree(self, root, subset=()):
-        time.sleep(self.delay)
-        return self.scheme.tree(root, subset)
-
-
 @pytest.fixture(params=["local", "fleet-1", "fleet-2", "service"])
 def make_session(request):
     """A session factory covering every `Session`-shaped surface.
@@ -477,55 +463,6 @@ class TestSessionFacade:
         with pytest.raises(QueryError):
             session.submit(42)
 
-    def test_answer_async(self, grid4, make_session):
-        session = make_session(grid4)
-
-        async def go():
-            return await session.answer_async(
-                [DistanceQuery(0, 15, [(0, 1)])]
-            )
-
-        (a,) = asyncio.run(go())
-        assert a.value == 6
-
-    def test_answer_async_keeps_the_loop_responsive(self, grid4,
-                                                    grid_scheme,
-                                                    make_session):
-        """Two overlapping answer_async calls against a deliberately
-        slow backend never stall the caller's event loop: the second
-        call queues on the session's worker thread instead of waiting
-        in the loop for the first call's transport."""
-        session = make_session(grid4)
-        slow = _SlowScheme(grid_scheme, delay=0.1)
-        query = RestorationQuery(0, 15, faults=[(0, 1)])
-
-        async def go():
-            gaps = []
-            done = asyncio.Event()
-
-            async def ticker():
-                last = time.perf_counter()
-                while not done.is_set():
-                    await asyncio.sleep(0.005)
-                    now = time.perf_counter()
-                    gaps.append(now - last)
-                    last = now
-
-            tick = asyncio.ensure_future(ticker())
-            first = asyncio.ensure_future(
-                session.answer_async([query], slow))
-            await asyncio.sleep(0.05)  # the first call is in flight
-            second = await session.answer_async([query], slow)
-            answers = [await first, second]
-            done.set()
-            await tick
-            return answers, max(gaps)
-
-        answers, worst_gap = asyncio.run(go())
-        assert worst_gap < 0.1
-        expected = _naive_restoration(grid_scheme, 0, 15, (0, 1))
-        assert [a.value for (a,) in answers] == [expected, expected]
-
     def test_answer_one(self, grid4, make_session):
         session = make_session(grid4)
         a = session.answer_one(DistanceQuery(0, 15, [(0, 1)]))
@@ -573,32 +510,53 @@ class TestSessionFacade:
             assert entered.answer_one(ConnectivityQuery()).value is True
         session.close()  # a second close is harmless
 
-    def test_answer_async_uses_one_private_worker(self, grid4):
-        """Concurrent awaits must not burn a default-executor thread
-        each: the session owns one lazily-built single worker (gathers
-        serialize on the planner lock anyway, so one thread *is* the
-        true concurrency), and close() releases it."""
-        session = Session(grid4)
+    def test_threads_share_one_session(self, grid4, make_session):
+        """Four threads answer their own streams through one session
+        at once, with the interpreter switching threads often: every
+        answer equals an in-process session's, and the ledger loses
+        no update."""
+        session = make_session(grid4)
+        streams = [
+            [q for F in random_fault_sets(grid4, 2, 3, seed=seed)
+             for q in (DistanceQuery(seed, 15 - seed, F),
+                       VectorQuery(seed, F),
+                       EccentricityQuery(15 - seed, F),
+                       ConnectivityQuery(F))]
+            for seed in range(4)
+        ]
+        reference = Session(grid4)
+        expected = [[(a.query, a.value) for a in reference.answer(s)]
+                    for s in streams]
+        rounds = 20
+        got = [[] for _ in streams]
+        errors = []
 
-        async def go():
-            answers = await asyncio.gather(*[
-                session.answer_async([DistanceQuery(0, 15, [(0, 1)])])
-                for _ in range(4)
-            ])
-            loop = asyncio.get_running_loop()
-            # the event loop's shared default executor stayed unused
-            assert getattr(loop, "_default_executor", None) is None
-            return answers
+        def run(i):
+            try:
+                for _ in range(rounds):
+                    got[i].append([(a.query, a.value)
+                                   for a in session.answer(streams[i])])
+            except BaseException as exc:  # noqa: BLE001 — re-raised
+                errors.append(exc)
 
-        results = asyncio.run(go())
-        assert [a.value for (a,) in results] == [6] * 4
-        executor = session._executor()
-        assert executor is session._executor()  # one, cached
-        assert executor._max_workers == 1
-        assert all(t.name.startswith("repro-session")
-                   for t in executor._threads)
-        session.close()
-        assert session._async_executor is None
+        answered = session.stats.answers
+        threads = [threading.Thread(target=run, args=(i,))
+                   for i in range(len(streams))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        if errors:
+            raise errors[0]
+        assert got == [[rows] * rounds for rows in expected]
+        assert session.stats.answers == answered + rounds * sum(
+            len(s) for s in streams)
 
     def test_adopts_existing_engine(self, grid4):
         engine = _quiet_engine(grid4)
@@ -672,6 +630,5 @@ class TestSessionStatsMerge:
         from repro.query.session import SessionStats
 
         stats = SessionStats()
-        stats.record(session.planner.plan([q.query for q in stamped]),
-                     stamped)
+        stats.record_answers(stamped)
         assert stats.by_worker == {"w7": 2}

@@ -5,7 +5,6 @@ import pytest
 from repro.exceptions import GraphError
 from repro.graphs import generators
 from repro.core.scheme import RestorableTiebreaking
-from repro.core.weights import AntisymmetricWeights
 from repro.replacement import (
     naive_single_pair_replacement_distances,
     naive_sourcewise_replacement_distances,

@@ -627,6 +627,16 @@ def test_src_repro_is_lint_clean():
     assert files_checked > 50
 
 
+@pytest.mark.parametrize("tree", ["tests", "benchmarks", "examples"])
+def test_callers_of_src_are_lint_clean(tree):
+    """A refactor that deletes a name also deletes its last imports in
+    the code that called it."""
+    findings, files_checked = lint_paths([REPO_ROOT / tree])
+    active = [f for f in findings if not f.suppressed]
+    assert active == [], render_text(findings, files_checked)
+    assert files_checked > 5
+
+
 def test_every_hot_path_entry_matches_a_function():
     """A registry entry whose function was deleted or renamed checks
     nothing; it must go with the function."""

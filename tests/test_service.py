@@ -323,21 +323,6 @@ class TestRoundTrip:
             assert client.pending == 0
             assert len(answers) == 2
 
-    def test_async_client_round_trip(self, served, er_medium):
-        import asyncio
-
-        server, _ = served
-
-        async def go():
-            with _connect(server, client="aio") as client:
-                (a,) = await client.answer_async(
-                    [DistanceQuery(0, er_medium.n - 1)])
-                return a.value
-
-        expected = Session(er_medium).answer_one(
-            DistanceQuery(0, er_medium.n - 1)).value
-        assert asyncio.run(go()) == expected
-
     def test_closed_client_raises_typed(self, served):
         server, _ = served
         client = _connect(server)
@@ -346,6 +331,31 @@ class TestRoundTrip:
         with pytest.raises(ServiceError) as info:
             client.answer([DistanceQuery(0, 1)])
         assert info.value.code == "closed"
+
+    def test_a_broken_round_trip_closes_the_client(self, er_medium):
+        """A request refused before any byte is written leaves the
+        client open.  A request that times out leaves its reply in
+        flight, so the client closes: that call raises ``timeout``
+        and every later call ``closed``, never a stale reply."""
+        backend = _GatedSession(er_medium)
+        with BackgroundServer(backend, max_frame=4000) as server:
+            client = _connect(server, timeout=0.3)
+            try:
+                with pytest.raises(ServiceError) as info:
+                    client.answer([VectorQuery(s) for s in range(200)])
+                assert info.value.code == "frame"
+                assert len(client.answer([DistanceQuery(0, 1)])) == 1
+                backend.gate.clear()
+                with pytest.raises(ServiceError) as info:
+                    client.answer([DistanceQuery(0, 2)])
+                assert info.value.code == "timeout"
+            finally:
+                backend.gate.set()
+            for _ in range(3):
+                with pytest.raises(ServiceError) as info:
+                    client.answer([DistanceQuery(0, 3)])
+                assert info.value.code == "closed"
+            client.close()
 
 
 class TestCoalescing:
